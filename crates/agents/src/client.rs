@@ -52,25 +52,18 @@ impl LlmClient {
 
     /// Complete a prompt.
     pub fn complete(&self, prompt: &str, params: &GenerationParams) -> Result<Completion, AgentError> {
-        match self {
-            LlmClient::Direct(m) => Ok(m.generate(prompt, params)?),
-            LlmClient::Smmf { server, model } => Ok(server.chat(model, prompt, params)?),
-        }
+        self.complete_under(prompt, params, &Span::noop())
     }
 
-    /// Traced [`LlmClient::complete`]: the SMMF route joins its `smmf.chat`
-    /// span (and everything under it) to `parent`; direct access records a
-    /// flat `llm.generate` child. Byte-identical to the untraced path when
-    /// `parent` is not recording.
+    /// Complete a prompt under `parent`: the SMMF route joins its
+    /// `smmf.chat` span (and everything under it) to `parent`; direct
+    /// access records a flat `llm.generate` child when `parent` records.
     pub fn complete_under(
         &self,
         prompt: &str,
         params: &GenerationParams,
         parent: &Span,
     ) -> Result<Completion, AgentError> {
-        if !parent.is_recording() {
-            return self.complete(prompt, params);
-        }
         match self {
             LlmClient::Direct(m) => {
                 let span = parent.child("llm.generate", parent.tick());
@@ -80,9 +73,7 @@ impl LlmClient {
                 span.end(parent.tick());
                 Ok(res?)
             }
-            LlmClient::Smmf { server, model } => {
-                Ok(server.chat_under(model, prompt, params, parent)?)
-            }
+            LlmClient::Smmf { server, model } => Ok(server.chat(model, prompt, params, parent)?),
         }
     }
 }

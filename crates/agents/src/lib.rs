@@ -32,11 +32,13 @@
 //! ```
 //! use dbgpt_agents::{Orchestrator, LlmClient};
 //! use dbgpt_llm::catalog::builtin_model;
+//! use dbgpt_obs::Span;
 //!
 //! let client = LlmClient::direct(builtin_model("sim-qwen").unwrap());
 //! let mut orch = Orchestrator::new(client);
-//! let report = orch.execute_goal("Build sales reports and analyze user orders \
-//!                                 from at least three distinct dimensions").unwrap();
+//! let goal = "Build sales reports and analyze user orders \
+//!             from at least three distinct dimensions";
+//! let report = orch.execute_goal(goal, &Span::noop()).unwrap();
 //! assert_eq!(report.plan.len(), 4);          // 3 charts + aggregate
 //! assert!(report.step_results.len() >= 3);
 //! ```

@@ -101,27 +101,11 @@ impl Orchestrator {
         &self.archive
     }
 
-    /// Execute a goal end to end.
-    pub fn execute_goal(&mut self, goal: &str) -> Result<TaskReport, AgentError> {
-        self.execute_goal_under(goal, &Span::noop())
-    }
-
-    /// Execute a goal, joining the `agents.goal` span to `parent` when it
-    /// is recording (else rooting it on this orchestrator's own handle).
-    /// Byte-identical to [`Orchestrator::execute_goal`] when neither
-    /// records.
-    pub fn execute_goal_under(
-        &mut self,
-        goal: &str,
-        parent: &Span,
-    ) -> Result<TaskReport, AgentError> {
-        let span = if parent.is_recording() {
-            parent.child("agents.goal", parent.tick())
-        } else if self.obs.is_enabled() {
-            self.obs.span("agents.goal", self.obs.tick())
-        } else {
-            Span::noop()
-        };
+    /// Execute a goal end to end, joining the `agents.goal` span to
+    /// `parent` when it is recording (else rooting it on this
+    /// orchestrator's own handle).
+    pub fn execute_goal(&mut self, goal: &str, parent: &Span) -> Result<TaskReport, AgentError> {
+        let span = parent.child_or_root(&self.obs, "agents.goal", None);
         let res = self.execute_goal_inner(goal, &span);
         match &res {
             Ok(r) => {
@@ -348,7 +332,7 @@ mod tests {
     #[test]
     fn demo_goal_runs_end_to_end() {
         let mut o = orch();
-        let report = o.execute_goal(DEMO_GOAL).unwrap();
+        let report = o.execute_goal(DEMO_GOAL, &Span::noop()).unwrap();
         assert_eq!(report.plan.len(), 4);
         assert_eq!(report.step_results.len(), 3);
         assert!(report.final_report.content["narrative"].is_string());
@@ -357,7 +341,7 @@ mod tests {
     #[test]
     fn full_history_is_archived() {
         let mut o = orch();
-        let report = o.execute_goal(DEMO_GOAL).unwrap();
+        let report = o.execute_goal(DEMO_GOAL, &Span::noop()).unwrap();
         let msgs = o.archive().conversation(&report.conversation);
         // goal + plan + 3×(task+result) + report = 9
         assert_eq!(msgs.len(), 9);
@@ -373,8 +357,8 @@ mod tests {
     #[test]
     fn conversations_are_isolated() {
         let mut o = orch();
-        let a = o.execute_goal(DEMO_GOAL).unwrap();
-        let b = o.execute_goal("collect the logs, email the summary").unwrap();
+        let a = o.execute_goal(DEMO_GOAL, &Span::noop()).unwrap();
+        let b = o.execute_goal("collect the logs, email the summary", &Span::noop()).unwrap();
         assert_ne!(a.conversation, b.conversation);
         assert_eq!(o.archive().conversations().len(), 2);
     }
@@ -402,7 +386,7 @@ mod tests {
         }
         let mut o = orch();
         o.register_agent(Arc::new(ChartStub));
-        let report = o.execute_goal(DEMO_GOAL).unwrap();
+        let report = o.execute_goal(DEMO_GOAL, &Span::noop()).unwrap();
         // All three chart steps handled by the stub.
         let charts: Vec<&str> = report
             .step_results
@@ -429,7 +413,7 @@ mod tests {
         }
         let mut o = orch();
         o.register_agent(Arc::new(Broken));
-        let e = o.execute_goal(DEMO_GOAL).unwrap_err();
+        let e = o.execute_goal(DEMO_GOAL, &Span::noop()).unwrap_err();
         assert!(matches!(e, AgentError::StepFailed { step: 1, .. }));
         // The error made it into the archive.
         let all: Vec<_> = o.archive().by_agent("broken");
@@ -439,7 +423,7 @@ mod tests {
     #[test]
     fn generic_goal_falls_back_to_worker() {
         let mut o = orch();
-        let report = o.execute_goal("fetch the logs, parse the errors").unwrap();
+        let report = o.execute_goal("fetch the logs, parse the errors", &Span::noop()).unwrap();
         assert!(!report.step_results.is_empty());
         assert!(report.final_report.summary.contains("aggregated"));
     }
@@ -463,7 +447,9 @@ mod tests {
         }
         let mut o = orch();
         o.register_agent(Arc::new(Probe));
-        let report = o.execute_goal("first thing, second thing, third thing").unwrap();
+        let report = o
+            .execute_goal("first thing, second thing, third thing", &Span::noop())
+            .unwrap();
         let counts: Vec<u64> = report
             .step_results
             .iter()
@@ -522,7 +508,7 @@ mod retry_tests {
     fn transient_failure_is_retried_and_recovered() {
         let mut o = Orchestrator::new(LlmClient::direct(builtin_model("sim-qwen").unwrap()));
         o.register_agent(Arc::new(FlakyOnce(AtomicUsize::new(0))));
-        let report = o.execute_goal("do one flaky thing").unwrap();
+        let report = o.execute_goal("do one flaky thing", &Span::noop()).unwrap();
         assert!(report
             .step_results
             .iter()
@@ -542,7 +528,7 @@ mod retry_tests {
     fn permanent_failure_still_fails_after_retry() {
         let mut o = Orchestrator::new(LlmClient::direct(builtin_model("sim-qwen").unwrap()));
         o.register_agent(Arc::new(AlwaysBroken));
-        let e = o.execute_goal("do one broken thing").unwrap_err();
+        let e = o.execute_goal("do one broken thing", &Span::noop()).unwrap_err();
         assert!(matches!(e, AgentError::StepFailed { .. }));
         // Two error records: the failed attempt + the final failure.
         let conv = o.archive().conversations()[0].clone();

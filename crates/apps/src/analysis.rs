@@ -26,6 +26,7 @@ use dbgpt_agents::{
     Agent, AgentContext, AgentError, AgentReply, LlmClient, Orchestrator, TaskRequest,
 };
 use dbgpt_llm::skills::planner::PlanStep;
+use dbgpt_obs::Span;
 use dbgpt_sqlengine::{Database, DataType};
 use dbgpt_vis::{ascii, chart::ChartType, spec_from_result, svg, ChartSpec};
 
@@ -236,7 +237,7 @@ impl GenerativeAnalyzer {
         if self.ctx.engine.read().database().table_count() == 0 {
             return Err(AppError::BadInput("database has no tables".into()));
         }
-        let report = self.orchestrator.execute_goal(goal)?;
+        let report = self.orchestrator.execute_goal(goal, &Span::noop())?;
         let mut charts = Vec::new();
         let mut chart_sql = Vec::new();
         for r in &report.step_results {

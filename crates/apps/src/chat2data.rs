@@ -35,23 +35,12 @@ impl Chat2Data {
         Chat2Data { ctx }
     }
 
-    /// Handle one question.
-    pub fn ask(&self, question: &str) -> Result<Chat2DataReply, AppError> {
-        self.ask_under(question, &Span::noop())
-    }
-
     /// Handle one question under a caller span: records an `app.chat2data`
     /// span (child of `parent` when it is recording, else rooted on the
     /// context's own handle) with the Text-to-SQL and SQL-engine stages as
-    /// children. Byte-identical to [`Chat2Data::ask`] when nothing records.
-    pub fn ask_under(&self, question: &str, parent: &Span) -> Result<Chat2DataReply, AppError> {
-        let span = if parent.is_recording() {
-            parent.child("app.chat2data", parent.tick())
-        } else if self.ctx.obs.is_enabled() {
-            self.ctx.obs.span("app.chat2data", self.ctx.obs.tick())
-        } else {
-            return self.ask_inner(question, &Span::noop());
-        };
+    /// children.
+    pub fn ask(&self, question: &str, parent: &Span) -> Result<Chat2DataReply, AppError> {
+        let span = parent.child_or_root(&self.ctx.obs, "app.chat2data", None);
         let obs = span.handle();
         obs.counter("app.chat2data.requests", 1);
         let res = self.ask_inner(question, &span);
@@ -136,14 +125,16 @@ mod tests {
 
     #[test]
     fn scalar_answer_is_a_sentence() {
-        let r = app().ask("how many orders are there?").unwrap();
+        let r = app().ask("how many orders are there?", &Span::noop()).unwrap();
         assert_eq!(r.answer, "The answer is 8.");
         assert_eq!(r.sql, "SELECT COUNT(*) FROM orders;");
     }
 
     #[test]
     fn breakdown_answer_for_grouped_results() {
-        let r = app().ask("what is the total amount per category of orders?").unwrap();
+        let r = app()
+            .ask("what is the total amount per category of orders?", &Span::noop())
+            .unwrap();
         assert!(r.answer.starts_with("Here is the breakdown"), "{}", r.answer);
         assert!(r.answer.contains("tech"));
         assert_eq!(r.data.as_array().unwrap().len(), 3);
@@ -151,31 +142,33 @@ mod tests {
 
     #[test]
     fn many_rows_summarised_as_count() {
-        let r = app().ask("list all orders").unwrap();
+        let r = app().ask("list all orders", &Span::noop()).unwrap();
         assert_eq!(r.answer, "Found 8 matching rows.");
     }
 
     #[test]
     fn empty_result_says_so() {
-        let r = app().ask("list orders with amount greater than 99999").unwrap();
+        let r = app().ask("list orders with amount greater than 99999", &Span::noop()).unwrap();
         assert_eq!(r.answer, "No matching data was found.");
     }
 
     #[test]
     fn superlative_single_row() {
-        let r = app().ask("which product has the highest price?").unwrap();
+        let r = app().ask("which product has the highest price?", &Span::noop()).unwrap();
         assert_eq!(r.answer, "The answer is laptop.");
     }
 
     #[test]
     fn data_rows_are_labelled_json() {
-        let r = app().ask("what is the total amount per category of orders?").unwrap();
+        let r = app()
+            .ask("what is the total amount per category of orders?", &Span::noop())
+            .unwrap();
         let first = &r.data[0];
         assert!(first.get("category").is_some());
     }
 
     #[test]
     fn empty_question_rejected() {
-        assert!(app().ask("").is_err());
+        assert!(app().ask("", &Span::noop()).is_err());
     }
 }

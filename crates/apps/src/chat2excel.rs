@@ -39,26 +39,15 @@ impl Chat2Excel {
     }
 
     /// Load a sheet (CSV text) as `table`, replacing any previous sheet of
-    /// that name.
-    pub fn load_sheet(&self, table: &str, csv_text: &str) -> Result<SheetInfo, AppError> {
-        self.load_sheet_under(table, csv_text, &Span::noop())
-    }
-
-    /// [`Chat2Excel::load_sheet`] under a caller span: records an
-    /// `app.chat2excel.load` span with table/row attributes.
-    pub fn load_sheet_under(
+    /// that name, under a caller span: records an `app.chat2excel.load`
+    /// span with table/row attributes.
+    pub fn load_sheet(
         &self,
         table: &str,
         csv_text: &str,
         parent: &Span,
     ) -> Result<SheetInfo, AppError> {
-        let span = if parent.is_recording() {
-            parent.child("app.chat2excel.load", parent.tick())
-        } else if self.ctx.obs.is_enabled() {
-            self.ctx.obs.span("app.chat2excel.load", self.ctx.obs.tick())
-        } else {
-            return self.load_sheet_inner(table, csv_text);
-        };
+        let span = parent.child_or_root(&self.ctx.obs, "app.chat2excel.load", None);
         span.attr("table", table);
         let res = self.load_sheet_inner(table, csv_text);
         match &res {
@@ -92,15 +81,10 @@ impl Chat2Excel {
         })
     }
 
-    /// Ask a question over loaded sheets.
-    pub fn ask(&self, question: &str) -> Result<Chat2DataReply, AppError> {
-        self.qa.ask(question)
-    }
-
-    /// [`Chat2Excel::ask`] under a caller span (delegates to the inner
-    /// Chat2Data app's traced path).
-    pub fn ask_under(&self, question: &str, parent: &Span) -> Result<Chat2DataReply, AppError> {
-        self.qa.ask_under(question, parent)
+    /// Ask a question over loaded sheets under a caller span (see
+    /// [`Chat2Data::ask`]).
+    pub fn ask(&self, question: &str, parent: &Span) -> Result<Chat2DataReply, AppError> {
+        self.qa.ask(question, parent)
     }
 }
 
@@ -116,7 +100,7 @@ mod tests {
 
     #[test]
     fn load_reports_shape() {
-        let info = app().load_sheet("sheet1", SHEET).unwrap();
+        let info = app().load_sheet("sheet1", SHEET, &Span::noop()).unwrap();
         assert_eq!(info.rows, 4);
         assert_eq!(info.table, "sheet1");
         assert_eq!(
@@ -132,8 +116,8 @@ mod tests {
     #[test]
     fn chat_over_sheet() {
         let a = app();
-        a.load_sheet("sheet1", SHEET).unwrap();
-        let r = a.ask("what is the total sales per region of sheet1?").unwrap();
+        a.load_sheet("sheet1", SHEET, &Span::noop()).unwrap();
+        let r = a.ask("what is the total sales per region of sheet1?", &Span::noop()).unwrap();
         assert!(r.answer.contains("north: 400"), "{}", r.answer);
         assert!(r.answer.contains("south: 300"), "{}", r.answer);
     }
@@ -141,20 +125,20 @@ mod tests {
     #[test]
     fn reload_replaces_sheet() {
         let a = app();
-        a.load_sheet("s", SHEET).unwrap();
-        a.load_sheet("s", "region,sales\nwest,1\n").unwrap();
-        let r = a.ask("how many s are there?").unwrap();
+        a.load_sheet("s", SHEET, &Span::noop()).unwrap();
+        a.load_sheet("s", "region,sales\nwest,1\n", &Span::noop()).unwrap();
+        let r = a.ask("how many s are there?", &Span::noop()).unwrap();
         assert_eq!(r.answer, "The answer is 1.");
     }
 
     #[test]
     fn bad_csv_rejected() {
-        assert!(matches!(app().load_sheet("s", ""), Err(AppError::Sql(_))));
-        assert!(app().load_sheet("  ", SHEET).is_err());
+        assert!(matches!(app().load_sheet("s", "", &Span::noop()), Err(AppError::Sql(_))));
+        assert!(app().load_sheet("  ", SHEET, &Span::noop()).is_err());
     }
 
     #[test]
     fn question_before_loading_fails_cleanly() {
-        assert!(app().ask("total sales?").is_err());
+        assert!(app().ask("total sales?", &Span::noop()).is_err());
     }
 }

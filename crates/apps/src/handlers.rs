@@ -53,15 +53,10 @@ impl AppHandler for Chat2DataHandler {
     fn handle(
         &self,
         input: &str,
-        _params: &Value,
-        _session: &Session,
+        params: &Value,
+        session: &Session,
     ) -> Result<(Value, Option<String>), ServerError> {
-        let r = self.0.ask(input).map_err(|e| ServerError::Handler(e.to_string()))?;
-        let rendered = r.answer.clone();
-        Ok((
-            serde_json::to_value(r).expect("reply serializes"),
-            Some(rendered),
-        ))
+        self.handle_traced(input, params, session, &Span::noop())
     }
     fn handle_traced(
         &self,
@@ -72,7 +67,7 @@ impl AppHandler for Chat2DataHandler {
     ) -> Result<(Value, Option<String>), ServerError> {
         let r = self
             .0
-            .ask_under(input, span)
+            .ask(input, span)
             .map_err(|e| ServerError::Handler(e.to_string()))?;
         let rendered = r.answer.clone();
         Ok((
@@ -114,15 +109,10 @@ impl AppHandler for KbqaHandler {
     fn handle(
         &self,
         input: &str,
-        _params: &Value,
-        _session: &Session,
+        params: &Value,
+        session: &Session,
     ) -> Result<(Value, Option<String>), ServerError> {
-        let r = self.0.ask(input).map_err(|e| ServerError::Handler(e.to_string()))?;
-        let rendered = r.answer.clone();
-        Ok((
-            serde_json::to_value(r).expect("reply serializes"),
-            Some(rendered),
-        ))
+        self.handle_traced(input, params, session, &Span::noop())
     }
     fn handle_traced(
         &self,
@@ -133,7 +123,7 @@ impl AppHandler for KbqaHandler {
     ) -> Result<(Value, Option<String>), ServerError> {
         let r = self
             .0
-            .ask_under(input, span)
+            .ask(input, span)
             .map_err(|e| ServerError::Handler(e.to_string()))?;
         let rendered = r.answer.clone();
         Ok((
@@ -227,7 +217,10 @@ mod tests {
     #[test]
     fn forecast_through_server() {
         let s = server();
-        let resp = s.handle(&Request::new(9, "forecast", "forecast sales for the next 2 months"));
+        let resp = s.handle(
+            &Request::new(9, "forecast", "forecast sales for the next 2 months"),
+            &Span::noop(),
+        );
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(resp.content["predictions"].as_array().unwrap().len(), 2);
         assert!(resp.rendered.unwrap().contains("predicted"));
@@ -236,7 +229,10 @@ mod tests {
     #[test]
     fn chat2db_through_server() {
         let s = server();
-        let resp = s.handle(&Request::new(1, "chat2db", "how many orders are there?"));
+        let resp = s.handle(
+            &Request::new(1, "chat2db", "how many orders are there?"),
+            &Span::noop(),
+        );
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(resp.content["sql"], "SELECT COUNT(*) FROM orders;");
         assert!(resp.rendered.unwrap().contains('8'));
@@ -245,7 +241,10 @@ mod tests {
     #[test]
     fn chat2data_through_server() {
         let s = server();
-        let resp = s.handle(&Request::new(2, "chat2data", "how many users are there?"));
+        let resp = s.handle(
+            &Request::new(2, "chat2data", "how many users are there?"),
+            &Span::noop(),
+        );
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(resp.content["answer"], "The answer is 4.");
     }
@@ -253,11 +252,10 @@ mod tests {
     #[test]
     fn chat2viz_through_server_renders_svg() {
         let s = server();
-        let resp = s.handle(&Request::new(
-            3,
-            "chat2viz",
-            "pie chart of total amount per category of orders",
-        ));
+        let resp = s.handle(
+            &Request::new(3, "chat2viz", "pie chart of total amount per category of orders"),
+            &Span::noop(),
+        );
         assert_eq!(resp.status, Status::Ok);
         assert!(resp.rendered.unwrap().starts_with("<svg"));
     }
@@ -265,11 +263,12 @@ mod tests {
     #[test]
     fn analysis_through_server() {
         let s = server();
-        let resp = s.handle(&Request::new(
+        let req = Request::new(
             4,
             "analysis",
             "Build sales reports and analyze user orders from at least three distinct dimensions",
-        ));
+        );
+        let resp = s.handle(&req, &Span::noop());
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(resp.content["charts"].as_array().unwrap().len(), 3);
     }
@@ -277,7 +276,7 @@ mod tests {
     #[test]
     fn handler_errors_become_error_responses() {
         let s = server();
-        let resp = s.handle(&Request::new(5, "chat2db", "how many unicorns?"));
+        let resp = s.handle(&Request::new(5, "chat2db", "how many unicorns?"), &Span::noop());
         assert_eq!(resp.status, Status::Error);
     }
 
@@ -287,7 +286,7 @@ mod tests {
         let sid = s.open_session("chat2data");
         let mut req = Request::new(1, "chat2data", "how many orders are there?");
         req.session = sid.clone();
-        s.handle(&req);
+        s.handle(&req, &Span::noop());
         let session = s.sessions().get(&sid).unwrap();
         assert_eq!(session.history.len(), 2);
         assert!(session.history[1].content.contains("The answer is 8."));

@@ -64,22 +64,12 @@ impl KnowledgeQa {
         self.ctx.kb.write().add_text(id, text)
     }
 
-    /// Answer a question from the knowledge base.
-    pub fn ask(&self, question: &str) -> Result<KbqaReply, AppError> {
-        self.ask_under(question, &Span::noop())
-    }
-
-    /// Answer under a caller span: records an `app.kbqa` span with the RAG
-    /// retrieval and model completion joined as children. Byte-identical
-    /// to [`KnowledgeQa::ask`] when nothing records.
-    pub fn ask_under(&self, question: &str, parent: &Span) -> Result<KbqaReply, AppError> {
-        let span = if parent.is_recording() {
-            parent.child("app.kbqa", parent.tick())
-        } else if self.ctx.obs.is_enabled() {
-            self.ctx.obs.span("app.kbqa", self.ctx.obs.tick())
-        } else {
-            return self.ask_inner(question, &Span::noop());
-        };
+    /// Answer a question from the knowledge base under a caller span:
+    /// records an `app.kbqa` span (child of `parent` when it is recording,
+    /// else rooted on the context's own handle) with the RAG retrieval and
+    /// model completion joined as children.
+    pub fn ask(&self, question: &str, parent: &Span) -> Result<KbqaReply, AppError> {
+        let span = parent.child_or_root(&self.ctx.obs, "app.kbqa", None);
         let obs = span.handle();
         obs.counter("app.kbqa.requests", 1);
         let res = self.ask_inner(question, &span);
@@ -104,7 +94,7 @@ impl KnowledgeQa {
         }
         let kb = self.ctx.kb.read();
         let hits = if self.rerank {
-            kb.retrieve_reranked_under(question, self.top_k, self.strategy, span)
+            kb.retrieve_reranked(question, self.top_k, self.strategy, span)
         } else {
             kb.retrieve_under(question, self.top_k, self.strategy, span)
         };
@@ -163,7 +153,7 @@ mod tests {
 
     #[test]
     fn answers_from_the_right_document() {
-        let r = app().ask("what arranges agents as operators in a DAG?").unwrap();
+        let r = app().ask("what arranges agents as operators in a DAG?", &Span::noop()).unwrap();
         assert!(r.answer.contains("AWEL") || r.answer.contains("operators"), "{}", r.answer);
         assert_eq!(r.sources[0], "awel-manual");
         assert!(r.chunks_used > 0);
@@ -171,14 +161,14 @@ mod tests {
 
     #[test]
     fn privacy_question_hits_smmf_doc() {
-        let r = app().ask("how is model serving kept private?").unwrap();
+        let r = app().ask("how is model serving kept private?", &Span::noop()).unwrap();
         assert!(r.sources.contains(&"smmf-manual".to_string()));
         assert!(r.answer.to_lowercase().contains("private") || r.answer.contains("locally"));
     }
 
     #[test]
     fn unanswerable_question_degrades_gracefully() {
-        let r = app().ask("what is the airspeed of an unladen swallow?").unwrap();
+        let r = app().ask("what is the airspeed of an unladen swallow?", &Span::noop()).unwrap();
         assert!(
             r.answer.contains("could not find") || !r.answer.is_empty(),
             "{}",
@@ -190,7 +180,7 @@ mod tests {
     fn every_strategy_works_end_to_end() {
         for &s in RetrievalStrategy::ALL {
             let qa = app().with_strategy(s);
-            let r = qa.ask("what language arranges agents?").unwrap();
+            let r = qa.ask("what language arranges agents?", &Span::noop()).unwrap();
             assert!(!r.answer.is_empty(), "strategy {}", s.name());
         }
     }
@@ -198,20 +188,20 @@ mod tests {
     #[test]
     fn reranked_retrieval_path_works() {
         let qa = app().with_rerank();
-        let r = qa.ask("what arranges agents as operators in a DAG?").unwrap();
+        let r = qa.ask("what arranges agents as operators in a DAG?", &Span::noop()).unwrap();
         assert!(r.chunks_used > 0);
         assert_eq!(r.sources[0], "awel-manual");
     }
 
     #[test]
     fn empty_question_rejected() {
-        assert!(app().ask("  ").is_err());
+        assert!(app().ask("  ", &Span::noop()).is_err());
     }
 
     #[test]
     fn empty_kb_still_answers_honestly() {
         let qa = KnowledgeQa::new(AppContext::local_default());
-        let r = qa.ask("anything at all?").unwrap();
+        let r = qa.ask("anything at all?", &Span::noop()).unwrap();
         assert_eq!(r.chunks_used, 0);
         assert!(r.sources.is_empty());
     }

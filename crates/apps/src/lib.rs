@@ -66,3 +66,7 @@ pub use forecast::{ForecastAgent, Forecaster};
 pub use intent::{detect_intent, Intent};
 pub use kbqa::KnowledgeQa;
 pub use pipeline::{Chat2DataPipeline, PipelineReply};
+
+/// The observability crate every app entry point's `parent: &Span` and
+/// [`AppContext::with_obs`] come from.
+pub use dbgpt_obs as obs;

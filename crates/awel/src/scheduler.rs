@@ -94,37 +94,24 @@ impl Scheduler {
 
     /// Run once in batch mode with `trigger` as the root input.
     pub fn run_batch(&self, dag: &Dag, trigger: Value) -> Result<RunResult, AwelError> {
-        self.run(dag, trigger, ExecutionMode::Batch)
+        self.run(dag, trigger, ExecutionMode::Batch, &Span::noop())
     }
 
-    /// Run once in the given mode.
-    pub fn run(&self, dag: &Dag, trigger: Value, mode: ExecutionMode) -> Result<RunResult, AwelError> {
-        self.run_under(dag, trigger, mode, &Span::noop())
-    }
-
-    /// Run once, joining the `awel.dag` span to `parent` when that parent
-    /// is recording (else rooting it on this scheduler's own handle).
-    /// Spans use logical ticks from the owning tracer; in [`ExecutionMode::Async`]
-    /// the coordinator thread assigns per-op start/end ticks in node order,
-    /// so the dump stays deterministic (operators that trace *internally*
-    /// should run in batch mode for cross-run byte identity).
-    pub fn run_under(
+    /// Run once in the given mode, joining the `awel.dag` span to `parent`
+    /// when that parent is recording (else rooting it on this scheduler's
+    /// own handle). Spans use logical ticks from the owning tracer; in
+    /// [`ExecutionMode::Async`] the coordinator thread assigns per-op
+    /// start/end ticks in node order, so the dump stays deterministic
+    /// (operators that trace *internally* should run in batch mode for
+    /// cross-run byte identity).
+    pub fn run(
         &self,
         dag: &Dag,
         trigger: Value,
         mode: ExecutionMode,
         parent: &Span,
     ) -> Result<RunResult, AwelError> {
-        let span = if parent.is_recording() {
-            parent.child("awel.dag", parent.tick())
-        } else if self.obs.is_enabled() {
-            self.obs.span("awel.dag", self.obs.tick())
-        } else {
-            return match mode {
-                ExecutionMode::Batch => self.run_sequential(dag, trigger, &Span::noop()),
-                ExecutionMode::Async => self.run_parallel(dag, trigger, &Span::noop()),
-            };
-        };
+        let span = parent.child_or_root(&self.obs, "awel.dag", None);
         let obs = span.handle();
         span.attr("dag", dag.name());
         span.attr(
@@ -134,7 +121,7 @@ impl Scheduler {
                 ExecutionMode::Async => "async",
             },
         );
-        span.attr("nodes", dag.node_count().to_string());
+        span.attr("nodes", dag.node_count());
         obs.counter("awel.runs", 1);
         let res = match mode {
             ExecutionMode::Batch => self.run_sequential(dag, trigger, &span),
@@ -143,7 +130,7 @@ impl Scheduler {
         match &res {
             Ok(r) => {
                 span.attr("outcome", "ok");
-                span.attr("ops_run", r.outputs.len().to_string());
+                span.attr("ops_run", r.outputs.len());
                 obs.counter("awel.ops_run", r.outputs.len() as u64);
                 obs.counter("awel.ops_skipped", r.skipped.len() as u64);
             }
@@ -157,17 +144,8 @@ impl Scheduler {
     }
 
     /// Stream mode: push each event through the DAG; collect each event's
-    /// leaf outputs.
+    /// leaf outputs. One `awel.dag` span per event (see [`Scheduler::run`]).
     pub fn run_stream(
-        &self,
-        dag: &Dag,
-        events: impl IntoIterator<Item = Value>,
-    ) -> Result<Vec<RunResult>, AwelError> {
-        self.run_stream_under(dag, events, &Span::noop())
-    }
-
-    /// Stream mode with trace propagation: one `awel.dag` span per event.
-    pub fn run_stream_under(
         &self,
         dag: &Dag,
         events: impl IntoIterator<Item = Value>,
@@ -175,7 +153,7 @@ impl Scheduler {
     ) -> Result<Vec<RunResult>, AwelError> {
         events
             .into_iter()
-            .map(|e| self.run_under(dag, e, ExecutionMode::Batch, parent))
+            .map(|e| self.run(dag, e, ExecutionMode::Batch, parent))
             .collect()
     }
 
@@ -201,9 +179,9 @@ impl Scheduler {
             }
             let op_span = span.child("awel.op", span.tick());
             op_span.attr("node", dag.node_name(node));
-            op_span.attr("id", node.to_string());
+            op_span.attr("id", node);
             op_span.attr("op", dag.operator(node).op_name());
-            let out = match dag.operator(node).run_traced(&inputs, &op_span) {
+            let out = match dag.operator(node).run(&inputs, &op_span) {
                 Ok(out) => {
                     op_span.end(span.tick());
                     out
@@ -274,7 +252,7 @@ impl Scheduler {
                     op_span.attr("id", node);
                     op_span.attr("op", op.op_name());
                     let thread_span = op_span.clone();
-                    let h = scope.spawn(move || op.run_traced(&inputs, &thread_span));
+                    let h = scope.spawn(move || op.run(&inputs, &thread_span));
                     handles.push((node, Some((h, op_span))));
                 }
                 for (node, h) in handles {
@@ -400,7 +378,7 @@ mod tests {
             .build()
             .unwrap();
         let err = Scheduler::new()
-            .run(&dag, json!(1), ExecutionMode::Async)
+            .run(&dag, json!(1), ExecutionMode::Async, &Span::noop())
             .unwrap_err();
         match err {
             AwelError::Execution { node, cause } => {
@@ -520,8 +498,8 @@ mod tests {
             .build()
             .unwrap();
         let s = Scheduler::new();
-        let batch = s.run(&dag, json!(7), ExecutionMode::Batch).unwrap();
-        let parallel = s.run(&dag, json!(7), ExecutionMode::Async).unwrap();
+        let batch = s.run(&dag, json!(7), ExecutionMode::Batch, &Span::noop()).unwrap();
+        let parallel = s.run(&dag, json!(7), ExecutionMode::Async, &Span::noop()).unwrap();
         assert_eq!(batch.outputs, parallel.outputs);
         assert_eq!(batch.skipped, parallel.skipped);
     }
@@ -538,8 +516,8 @@ mod tests {
             .unwrap();
         let s = Scheduler::new();
         for i in 0..4 {
-            let a = s.run(&dag, json!(i), ExecutionMode::Batch).unwrap();
-            let b = s.run(&dag, json!(i), ExecutionMode::Async).unwrap();
+            let a = s.run(&dag, json!(i), ExecutionMode::Batch, &Span::noop()).unwrap();
+            let b = s.run(&dag, json!(i), ExecutionMode::Async, &Span::noop()).unwrap();
             assert_eq!(a.outputs, b.outputs);
         }
     }
@@ -547,7 +525,7 @@ mod tests {
     #[test]
     fn stream_mode_processes_events_in_order() {
         let r = Scheduler::new()
-            .run_stream(&pipeline(), (1..=3).map(|i| json!(i)))
+            .run_stream(&pipeline(), (1..=3).map(|i| json!(i)), &Span::noop())
             .unwrap();
         let outs: Vec<i64> = r
             .iter()

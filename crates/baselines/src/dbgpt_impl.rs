@@ -4,6 +4,7 @@
 use serde_json::{json, Value};
 
 use dbgpt_agents::Orchestrator;
+use dbgpt_apps::obs::Span;
 use dbgpt_apps::{AppContext, Chat2Data, Chat2Excel, GenerativeAnalyzer};
 use dbgpt_llm::catalog::builtin_model;
 use dbgpt_rag::{Document, RetrievalStrategy};
@@ -39,7 +40,7 @@ impl Framework for DbGptFramework {
 
     fn run_multi_agent_goal(&mut self, goal: &str) -> Option<usize> {
         let mut orch = Orchestrator::new(self.ctx.llm.clone());
-        orch.execute_goal(goal).ok().map(|r| r.step_results.len())
+        orch.execute_goal(goal, &Span::noop()).ok().map(|r| r.step_results.len())
     }
 
     fn served_models(&self) -> Vec<String> {
@@ -121,15 +122,19 @@ impl Framework for DbGptFramework {
 
     fn chat2x(&mut self) -> Option<(String, String)> {
         let data_answer = Chat2Data::new(self.ctx.clone())
-            .ask("how many orders are there?")
+            .ask("how many orders are there?", &Span::noop())
             .ok()?
             .answer;
         let excel = Chat2Excel::new(self.ctx.clone());
         excel
-            .load_sheet("probe_sheet", "region,sales\nnorth,10\nsouth,20\n")
+            .load_sheet(
+                "probe_sheet",
+                "region,sales\nnorth,10\nsouth,20\n",
+                &Span::noop(),
+            )
             .ok()?;
         let excel_answer = excel
-            .ask("what is the total sales of probe_sheet?")
+            .ask("what is the total sales of probe_sheet?", &Span::noop())
             .ok()?
             .answer;
         Some((data_answer, excel_answer))
@@ -157,7 +162,7 @@ impl Framework for DbGptFramework {
                 a.analyze(&canonical).ok().map(|r| r.narrative)
             }
             _ => Chat2Data::new(self.ctx.clone())
-                .ask(&canonical)
+                .ask(&canonical, &Span::noop())
                 .ok()
                 .map(|r| r.answer),
         }

@@ -8,6 +8,7 @@
 
 use serde_json::Value;
 
+use dbgpt_apps::obs::Span;
 use dbgpt_llm::GenerationParams;
 use dbgpt_rag::{IclBuilder, KnowledgeBase, RetrievalStrategy};
 use dbgpt_smmf::{ApiServer, DeploymentMode};
@@ -43,7 +44,7 @@ impl PrivateGptLike {
         let hits = self.kb.retrieve(question, 3, RetrievalStrategy::Vector);
         let (prompt, _) = IclBuilder::new(1024).build(question, &hits).ok()?;
         self.server
-            .chat("sim-vicuna", &prompt, &GenerationParams::default())
+            .chat("sim-vicuna", &prompt, &GenerationParams::default(), &Span::noop())
             .ok()
             .map(|c| c.text)
     }

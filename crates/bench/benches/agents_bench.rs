@@ -8,6 +8,7 @@ use dbgpt_agents::{
     AgentMessage, HistoryArchive, LlmClient, MessageKind, Orchestrator,
 };
 use dbgpt_llm::builtin_model;
+use dbgpt_obs::Span;
 
 fn goal_with_steps(n: usize) -> String {
     let clauses: Vec<String> = (0..n).map(|i| format!("do thing number {i}")).collect();
@@ -22,7 +23,7 @@ fn bench_goal_execution(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(steps), &steps, |b, _| {
             let mut orch =
                 Orchestrator::new(LlmClient::direct(builtin_model("sim-qwen").unwrap()));
-            b.iter(|| orch.execute_goal(std::hint::black_box(&goal)).unwrap())
+            b.iter(|| orch.execute_goal(std::hint::black_box(&goal), &Span::noop()).unwrap())
         });
     }
     group.finish();

@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use serde_json::json;
 
 use dbgpt_awel::{ops, Dag, DagBuilder, ExecutionMode, OperatorRegistry, Scheduler};
+use dbgpt_obs::Span;
 
 /// A fan-out/fan-in DAG of the given width.
 fn wide_dag(width: usize) -> Dag {
@@ -44,7 +45,7 @@ fn bench_modes(c: &mut Criterion) {
                 ExecutionMode::Async => "async",
             };
             group.bench_with_input(BenchmarkId::new(label, width), &mode, |b, &m| {
-                b.iter(|| scheduler.run(&dag, json!(1), m).unwrap())
+                b.iter(|| scheduler.run(&dag, json!(1), m, &Span::noop()).unwrap())
             });
         }
     }
@@ -69,7 +70,7 @@ fn bench_stream(c: &mut Criterion) {
     c.bench_function("awel_stream_100_events", |b| {
         b.iter(|| {
             scheduler
-                .run_stream(&dag, (0..100).map(|i| json!(i)))
+                .run_stream(&dag, (0..100).map(|i| json!(i)), &Span::noop())
                 .unwrap()
         })
     });

@@ -53,7 +53,14 @@ fn bench_rerank(c: &mut Criterion) {
         b.iter(|| kb.retrieve(std::hint::black_box(query), 5, RetrievalStrategy::Hybrid))
     });
     group.bench_function("retrieve_reranked_k5", |b| {
-        b.iter(|| kb.retrieve_reranked(std::hint::black_box(query), 5, RetrievalStrategy::Hybrid))
+        b.iter(|| {
+            kb.retrieve_reranked(
+                std::hint::black_box(query),
+                5,
+                RetrievalStrategy::Hybrid,
+                &dbgpt_obs::Span::noop(),
+            )
+        })
     });
     group.finish();
 }

@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use dbgpt_llm::{builtin_model, GenerationParams};
+use dbgpt_obs::Span;
 use dbgpt_smmf::{ApiServer, DeploymentMode, Locality, ModelWorker, RoutingPolicy};
 
 fn bench_routing(c: &mut Criterion) {
@@ -19,7 +20,12 @@ fn bench_routing(c: &mut Criterion) {
                 |b, _| {
                     b.iter(|| {
                         server
-                            .chat("sim-qwen", std::hint::black_box("ping request"), &params)
+                            .chat(
+                                "sim-qwen",
+                                std::hint::black_box("ping request"),
+                                &params,
+                                &Span::noop(),
+                            )
                             .unwrap()
                     })
                 },
@@ -48,7 +54,12 @@ fn bench_failover(c: &mut Criterion) {
             b.iter(|| {
                 // Under faults some requests exhaust retries; both outcomes
                 // count as completed dispatch work.
-                let _ = server.chat("sim-qwen", std::hint::black_box("ping"), &params);
+                let _ = server.chat(
+                    "sim-qwen",
+                    std::hint::black_box("ping"),
+                    &params,
+                    &Span::noop(),
+                );
             })
         });
     }

@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use dbgpt_llm::GenerationParams;
 use dbgpt_obs::render::render_metrics;
-use dbgpt_obs::ObsConfig;
+use dbgpt_obs::{ObsConfig, Span};
 use dbgpt_rag::knowledge::KnowledgeBase;
 use dbgpt_rag::retriever::RetrievalStrategy;
 use dbgpt_smmf::{
@@ -78,7 +78,7 @@ fn run_workload(chats: usize, batch: usize, obs: ObsConfig) -> (Semantics, ApiSe
             hits.first().map(|h| h.chunk.text.as_str()).unwrap_or("")
         );
         outcomes.push(
-            s.chat("sim-qwen", &prompt, &GenerationParams::default())
+            s.chat("sim-qwen", &prompt, &GenerationParams::default(), &Span::noop())
                 .map(|c| (c.text, c.simulated_latency_us))
                 .map_err(|e| e.kind()),
         );

@@ -41,7 +41,7 @@ use std::sync::Arc;
 use dbgpt_agents::LlmClient;
 use dbgpt_apps::handlers::build_server;
 use dbgpt_apps::{AppContext, Chat2DataPipeline};
-use dbgpt_obs::{Obs, ObsConfig, Profile, SloDef, SloEngine};
+use dbgpt_obs::{Obs, ObsConfig, Profile, SloDef, SloEngine, Span};
 use dbgpt_server::Request;
 use dbgpt_smmf::{ApiServer, DeploymentMode, EngineConfig, ResilienceConfig, RoutingPolicy};
 
@@ -128,16 +128,14 @@ fn run_stack(obs_cfg: ObsConfig) -> RunOutput {
             }
         }
         api.advance_clock(250_000);
-        let r1 = server.handle(&Request::new(
-            (round * 2) as u64,
-            "chat2data",
-            questions[round % questions.len()],
-        ));
-        let r2 = server.handle(&Request::new(
-            (round * 2 + 1) as u64,
-            "kbqa",
-            "what do orders record?",
-        ));
+        let r1 = server.handle(
+            &Request::new((round * 2) as u64, "chat2data", questions[round % questions.len()]),
+            &Span::noop(),
+        );
+        let r2 = server.handle(
+            &Request::new((round * 2 + 1) as u64, "kbqa", "what do orders record?"),
+            &Span::noop(),
+        );
         let reply = pipeline.run(pipeline_questions[round % pipeline_questions.len()]);
         let _ = writeln!(semantics, "round {round}: {r1:?} | {r2:?} | {reply:?}");
         last_pipeline_trace = obs

@@ -13,6 +13,7 @@ use dbgpt_llm::catalog::{builtin_spec, BUILTIN_MODELS};
 use dbgpt_smmf::{ApiServer, DeploymentMode};
 use dbgpt_apps::{AppContext, KnowledgeQa};
 use dbgpt_agents::LlmClient;
+use dbgpt_obs::Span;
 use std::sync::Arc;
 
 fn main() {
@@ -53,7 +54,7 @@ fn main() {
             "doc",
             "The AWEL protocol layer schedules agent workflows as DAGs.",
         );
-        match qa.ask("what schedules agent workflows?") {
+        match qa.ask("what schedules agent workflows?", &Span::noop()) {
             Ok(r) => println!("  {name:<12} → {}", r.answer.lines().next().unwrap_or("")),
             Err(e) => println!("  {name:<12} → ERROR: {e}"),
         }

@@ -8,6 +8,7 @@
 use std::time::Instant;
 
 use dbgpt_llm::{builtin_model, GenerationParams};
+use dbgpt_obs::Span;
 use dbgpt_smmf::{ApiServer, DeploymentMode, Locality, ModelWorker, RoutingPolicy};
 
 const REQUESTS: usize = 300;
@@ -18,7 +19,7 @@ fn run_requests(server: &ApiServer, model: &str) -> (usize, u64) {
     let mut simulated_us = 0u64;
     for i in 0..REQUESTS {
         let prompt = format!("summarize report number {i} about quarterly sales figures");
-        if let Ok(c) = server.chat(model, &prompt, &params) {
+        if let Ok(c) = server.chat(model, &prompt, &params, &Span::noop()) {
             ok += 1;
             simulated_us += c.simulated_latency_us;
         }

@@ -97,7 +97,7 @@ impl ClusterConfig {
 /// `gateway.request` root span per arrival and injects its
 /// [`dbgpt_obs::TraceContext`] into the wire-level `Request`; the primary
 /// adopts it into a `node.serve` span on *its own* tracer (real
-/// `smmf.chat` spans join via `chat_under`), and every replica's apply
+/// `smmf.chat` spans nest under it), and every replica's apply
 /// becomes a `node.apply` span adopted from the replication hop — one
 /// trace tree per request, spanning processes. Disabled (the default) is
 /// byte-identical to the pre-telemetry request path.
@@ -499,13 +499,12 @@ impl Cluster {
             node.server.advance_clock(delta);
             node.last_us = arrival.at_us;
         }
-        // `chat_under` with a no-op parent is byte-identical to `chat`,
-        // so the disabled path is unchanged; with telemetry on, the real
-        // smmf.chat span joins the propagated trace under node.serve.
+        // With telemetry on, the real smmf.chat span joins the
+        // propagated trace under node.serve.
         let completion =
             match node
                 .server
-                .chat_under(PRIMARY_MODEL, &arrival.prompt, &self.params, &serve)
+                .chat(PRIMARY_MODEL, &arrival.prompt, &self.params, &serve)
             {
                 Ok(c) => c,
                 Err(_) => {
@@ -617,11 +616,11 @@ impl Cluster {
             .or_insert_with(|| TenantState::new(&key));
         if let Some(log) = self.logs.get(&tenant) {
             while (st.applied_seq as usize) < log.len() {
-                st.apply(&log[st.applied_seq as usize]);
+                st.apply(&log[st.applied_seq as usize], &Span::noop());
                 self.catchup_ops += 1;
             }
         }
-        st.apply_traced(op, parent)
+        st.apply(op, parent)
     }
 
     /// Aggregate every tracer's dump — the gateway plus one per node —
@@ -700,7 +699,7 @@ impl Cluster {
                     .or_insert_with(|| TenantState::new(&key));
                 let log = &self.logs[t];
                 while (st.applied_seq as usize) < log.len() {
-                    st.apply(&log[st.applied_seq as usize]);
+                    st.apply(&log[st.applied_seq as usize], &Span::noop());
                     self.catchup_ops += 1;
                 }
                 let f = st.fingerprint();

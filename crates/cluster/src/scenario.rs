@@ -14,7 +14,7 @@
 //! outcome; `tests/identity.rs` pins that.
 
 use dbgpt_llm::GenerationParams;
-use dbgpt_obs::{BurnRule, Obs, ObsConfig, Profile, SloDef, SloEngine};
+use dbgpt_obs::{BurnRule, Obs, ObsConfig, Profile, SloDef, SloEngine, Span};
 use dbgpt_smmf::chaos::PRIMARY_MODEL;
 use dbgpt_smmf::NodeSchedule;
 
@@ -382,7 +382,7 @@ pub fn run_single_server_baseline(traffic: &TrafficConfig, seed: u64) -> Vec<Req
             server.advance_clock(delta);
             last_us = a.at_us;
         }
-        let outcome = match server.chat(PRIMARY_MODEL, &a.prompt, &params) {
+        let outcome = match server.chat(PRIMARY_MODEL, &a.prompt, &params, &Span::noop()) {
             Ok(c) => Outcome::Ok {
                 latency_us: c.simulated_latency_us,
             },

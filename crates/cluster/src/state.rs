@@ -58,17 +58,12 @@ impl TenantState {
         }
     }
 
-    /// Apply the next op. Panics on a log gap — replication must keep
-    /// replicas contiguous (catch up before applying fresh ops).
-    pub fn apply(&mut self, op: &StateOp) {
-        self.apply_traced(op, &Span::noop());
-    }
-
-    /// [`TenantState::apply`] under a trace span: the audit INSERT runs
+    /// Apply the next op under a trace span: the audit INSERT runs
     /// through `execute_traced` so replica-side SQL work lands in the
-    /// request's distributed trace. Returns the rows written. With a
-    /// non-recording parent this is byte-identical to `apply`.
-    pub fn apply_traced(&mut self, op: &StateOp, parent: &Span) -> u64 {
+    /// request's distributed trace. Returns the rows written. Panics on a
+    /// log gap — replication must keep replicas contiguous (catch up
+    /// before applying fresh ops).
+    pub fn apply(&mut self, op: &StateOp, parent: &Span) -> u64 {
         assert_eq!(
             op.seq, self.applied_seq,
             "{}: op {} applied out of order (at {})",
@@ -162,10 +157,10 @@ mod tests {
         let mut a = TenantState::new("tenant-000");
         let mut b = TenantState::new("tenant-000");
         for s in 0..20 {
-            a.apply(&op(s, "tenant-000"));
+            a.apply(&op(s, "tenant-000"), &Span::noop());
         }
         for s in 0..20 {
-            b.apply(&op(s, "tenant-000"));
+            b.apply(&op(s, "tenant-000"), &Span::noop());
         }
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.session_len(), 20);
@@ -175,16 +170,13 @@ mod tests {
     fn fingerprint_tracks_divergence() {
         let mut a = TenantState::new("t");
         let mut b = TenantState::new("t");
-        a.apply(&op(0, "t"));
+        a.apply(&op(0, "t"), &Span::noop());
         let behind = b.fingerprint();
-        b.apply(&op(0, "t"));
+        b.apply(&op(0, "t"), &Span::noop());
         assert_ne!(behind, b.fingerprint(), "applying an op must change it");
         assert_eq!(a.fingerprint(), b.fingerprint());
         let mut c = TenantState::new("t");
-        c.apply(&StateOp {
-            latency_us: 1,
-            ..op(0, "t")
-        });
+        c.apply(&StateOp { latency_us: 1, ..op(0, "t") }, &Span::noop());
         assert_ne!(a.fingerprint(), c.fingerprint(), "payload differs");
     }
 
@@ -192,14 +184,14 @@ mod tests {
     #[should_panic(expected = "out of order")]
     fn log_gaps_are_rejected() {
         let mut a = TenantState::new("t");
-        a.apply(&op(1, "t"));
+        a.apply(&op(1, "t"), &Span::noop());
     }
 
     #[test]
     fn audit_rows_accumulate() {
         let mut a = TenantState::new("tenant-001");
         for s in 0..5 {
-            a.apply(&op(s, "tenant-001"));
+            a.apply(&op(s, "tenant-001"), &Span::noop());
         }
         let rows = a.sql.execute("SELECT seq FROM audit").unwrap();
         assert_eq!(rows.rows.len(), 5);

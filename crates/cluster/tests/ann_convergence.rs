@@ -7,6 +7,7 @@
 //! just because index build timing differed across nodes.
 
 use dbgpt_cluster::state::{StateOp, TenantState};
+use dbgpt_obs::Span;
 
 fn op(seq: u64, tenant: &str) -> StateOp {
     StateOp {
@@ -27,9 +28,9 @@ fn replicas_converge_despite_divergent_ann_index_state() {
     let mut late = TenantState::new(tenant);
     for seq in 0..80 {
         let o = op(seq, tenant);
-        never.apply(&o);
-        mid.apply(&o);
-        late.apply(&o);
+        never.apply(&o, &Span::noop());
+        mid.apply(&o, &Span::noop());
+        late.apply(&o, &Span::noop());
         if seq == 40 {
             mid.build_ann_index();
         }
@@ -48,8 +49,8 @@ fn replicas_converge_despite_divergent_ann_index_state() {
     // one replica, plain append on the other) still converges.
     for seq in 80..96 {
         let o = op(seq, tenant);
-        never.apply(&o);
-        mid.apply(&o);
+        never.apply(&o, &Span::noop());
+        mid.apply(&o, &Span::noop());
     }
     assert_eq!(never.fingerprint(), mid.fingerprint());
     assert!(mid.has_hnsw_index(), "incremental ingest keeps the index");
@@ -62,11 +63,11 @@ fn fingerprint_still_detects_real_divergence() {
     let mut a = TenantState::new("tenant-001");
     let mut b = TenantState::new("tenant-001");
     for seq in 0..16 {
-        a.apply(&op(seq, "tenant-001"));
-        b.apply(&op(seq, "tenant-001"));
+        a.apply(&op(seq, "tenant-001"), &Span::noop());
+        b.apply(&op(seq, "tenant-001"), &Span::noop());
     }
     a.build_ann_index();
     assert_eq!(a.fingerprint(), b.fingerprint());
-    b.apply(&op(16, "tenant-001"));
+    b.apply(&op(16, "tenant-001"), &Span::noop());
     assert_ne!(a.fingerprint(), b.fingerprint(), "an extra op must diverge");
 }

@@ -10,6 +10,7 @@ use dbgpt_apps::{
     detect_intent, AppContext, Chat2Data, Chat2Db, Chat2Excel, Chat2Viz, Forecaster,
     GenerativeAnalyzer, Intent, KnowledgeQa,
 };
+use dbgpt_apps::obs::Span;
 use dbgpt_server::Server;
 use dbgpt_smmf::{ApiServer, SmmfError};
 use dbgpt_text2sql::{dataset, FineTuner, Text2SqlModel};
@@ -144,7 +145,7 @@ impl DbGpt {
     /// Load a CSV sheet (chat2excel path).
     pub fn load_sheet(&self, table: &str, csv: &str) -> Result<usize, dbgpt_apps::AppError> {
         Chat2Excel::new(self.ctx.clone())
-            .load_sheet(table, csv)
+            .load_sheet(table, csv, &Span::noop())
             .map(|info| info.rows)
     }
 
@@ -161,7 +162,7 @@ impl DbGpt {
                 )
             }
             Intent::Chat2Data => {
-                match Chat2Data::new(self.ctx.clone()).ask(&canonical) {
+                match Chat2Data::new(self.ctx.clone()).ask(&canonical, &Span::noop()) {
                     Ok(r) => {
                         (r.answer.clone(), serde_json::to_value(&r).expect("reply serializes"))
                     }
@@ -175,7 +176,8 @@ impl DbGpt {
                         if !kb_has_content {
                             return Err(data_err);
                         }
-                        let r = KnowledgeQa::new(self.ctx.clone()).ask(&canonical)?;
+                        let r =
+                            KnowledgeQa::new(self.ctx.clone()).ask(&canonical, &Span::noop())?;
                         return Ok(ChatOutcome {
                             intent: Intent::Kbqa,
                             text: r.answer.clone(),
@@ -199,7 +201,7 @@ impl DbGpt {
                 )
             }
             Intent::Kbqa => {
-                let r = KnowledgeQa::new(self.ctx.clone()).ask(&canonical)?;
+                let r = KnowledgeQa::new(self.ctx.clone()).ask(&canonical, &Span::noop())?;
                 (r.answer.clone(), serde_json::to_value(&r).expect("reply serializes"))
             }
             Intent::Forecast => {
@@ -234,7 +236,7 @@ impl DbGpt {
         let (intent, canonical) = detect_intent(input);
         let mut request = dbgpt_server::Request::new(0, intent.app_name(), canonical);
         request.session = session.to_string();
-        let response = self.server.handle(&request);
+        let response = self.server.handle(&request, &Span::noop());
         match response.status {
             dbgpt_server::Status::Ok => Ok(ChatOutcome {
                 intent,

@@ -51,6 +51,7 @@ pub use dbgpt_apps as apps;
 pub use dbgpt_awel as awel;
 pub use dbgpt_baselines as baselines;
 pub use dbgpt_llm as llm;
+pub use dbgpt_apps::obs;
 pub use dbgpt_rag as rag;
 pub use dbgpt_server as server;
 pub use dbgpt_smmf as smmf;

@@ -317,21 +317,13 @@ impl BatchEngine {
     /// per-request outcomes (in submit order) plus the run summary. The
     /// engine clock ends at the batch's finish time, and the prefix cache
     /// persists across runs (so later batches hit prefixes warmed by
-    /// earlier ones).
-    pub fn run(&mut self) -> (Vec<ScheduledCompletion>, EngineRun) {
-        self.run_traced(None)
-    }
-
-    /// Like [`BatchEngine::run`], recording the drain as a child of
-    /// `parent` when that span is live (otherwise the drain becomes its
-    /// own trace if this engine's [`Obs`] is enabled, or records nothing).
-    pub fn run_traced(&mut self, parent: Option<&Span>) -> (Vec<ScheduledCompletion>, EngineRun) {
+    /// earlier ones). The drain is recorded as a child of `parent` when
+    /// that span is live; otherwise it becomes its own trace if this
+    /// engine's [`Obs`] is enabled, or records nothing.
+    pub fn run(&mut self, parent: &Span) -> (Vec<ScheduledCompletion>, EngineRun) {
         let max_requests = self.config.max_batch_requests.max(1);
         let started = self.clock_us;
-        let span = match parent {
-            Some(p) => p.child("llm.engine.run", started),
-            None => self.obs.span("llm.engine.run", started),
-        };
+        let span = parent.child_or_root(&self.obs, "llm.engine.run", Some(started));
         let cache_before = self.cache.stats();
         let mut now = self.clock_us;
         let mut inflight: Vec<InFlight> = Vec::new();
@@ -592,7 +584,7 @@ mod tests {
         for p in prompts() {
             eng.submit(p, params.clone());
         }
-        let (outs, run) = eng.run();
+        let (outs, run) = eng.run(&Span::noop());
         let mut expected_total = 0u64;
         for (p, s) in prompts().iter().zip(&outs) {
             let direct = model.generate(p, &params).unwrap();
@@ -619,7 +611,7 @@ mod tests {
         for p in prompts() {
             eng.submit(p, params.clone());
         }
-        let (outs, run) = eng.run();
+        let (outs, run) = eng.run(&Span::noop());
         for (p, s) in prompts().iter().zip(&outs) {
             assert_eq!(
                 s.result.as_ref().unwrap(),
@@ -650,8 +642,8 @@ mod tests {
             warm.submit(p.clone(), params.clone());
             cold.submit(p, params.clone());
         }
-        let (warm_outs, warm_run) = warm.run();
-        let (cold_outs, cold_run) = cold.run();
+        let (warm_outs, warm_run) = warm.run(&Span::noop());
+        let (cold_outs, cold_run) = cold.run(&Span::noop());
         // Same completions either way; Usage still bills cached tokens.
         for (w, c) in warm_outs.iter().zip(&cold_outs) {
             assert_eq!(w.result, c.result);
@@ -673,7 +665,7 @@ mod tests {
         let mut eng = BatchEngine::for_model(model, EngineConfig::full());
         eng.submit("   ", GenerationParams::default()); // empty prompt
         eng.submit("valid question about joins", GenerationParams::default());
-        let (outs, run) = eng.run();
+        let (outs, run) = eng.run(&Span::noop());
         assert_eq!(outs.len(), 2);
         assert_eq!(outs[0].result, Err(LlmError::EmptyPrompt));
         assert_eq!(outs[0].batched_latency_us, 0);
@@ -695,7 +687,7 @@ mod tests {
         for p in prompts() {
             eng.submit(p, params.clone());
         }
-        let (outs, run) = eng.run();
+        let (outs, run) = eng.run(&Span::noop());
         assert_eq!(run.max_inflight, 1, "budget must serialize the batch");
         let total: u64 = outs
             .iter()
@@ -712,12 +704,12 @@ mod tests {
             BatchEngine::for_model(model, EngineConfig::full().with_batch_requests(2));
         let p = prompts();
         eng.submit(p[0].clone(), params.clone());
-        let (_, first) = eng.run();
+        let (_, first) = eng.run(&Span::noop());
         assert_eq!(eng.clock_us(), first.finished_us);
         assert_eq!(first.cached_prompt_tokens, 0);
         // The second run shares the first run's prompt prefix.
         eng.submit(p[1].clone(), params.clone());
-        let (_, second) = eng.run();
+        let (_, second) = eng.run(&Span::noop());
         assert!(second.started_us >= first.finished_us);
         assert!(
             second.cached_prompt_tokens > 0,
@@ -737,7 +729,7 @@ mod tests {
             for p in prompts() {
                 eng.submit(p, GenerationParams::default());
             }
-            let (outs, run) = eng.run();
+            let (outs, run) = eng.run(&Span::noop());
             let shape: Vec<_> = outs
                 .iter()
                 .map(|s| (s.id, s.result.clone(), s.admitted_us, s.finished_us))
@@ -770,7 +762,7 @@ mod tests {
             for p in prompts() {
                 eng.submit(p, GenerationParams::default().with_seed(9));
             }
-            let (outs, run) = eng.run();
+            let (outs, run) = eng.run(&Span::noop());
             (
                 outs.iter()
                     .map(|s| {

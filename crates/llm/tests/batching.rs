@@ -11,6 +11,7 @@ use dbgpt_llm::latency::LatencyModel;
 use dbgpt_llm::{
     GenerationParams, PrefixCache, SharedModel, SimLlm, SimModelSpec, Tokenizer, Vocab,
 };
+use dbgpt_obs::Span;
 
 fn timed_model() -> SharedModel {
     let mut spec = SimModelSpec::for_tests("prop-batch");
@@ -68,7 +69,7 @@ proptest! {
         for p in &prompts {
             eng.submit(p.clone(), params.clone());
         }
-        let (outs, run) = eng.run();
+        let (outs, run) = eng.run(&Span::noop());
         prop_assert_eq!(outs.len(), prompts.len());
         let mut prompt_tokens = 0u64;
         let mut completion_tokens = 0u64;
@@ -121,18 +122,18 @@ proptest! {
         for p in &prompts {
             one.submit(p.clone(), params.clone());
         }
-        let (single, _) = one.run();
+        let (single, _) = one.run(&Span::noop());
 
         let mut two = BatchEngine::for_model(model, cfg);
         let cut = cut.min(prompts.len());
         for p in &prompts[..cut] {
             two.submit(p.clone(), params.clone());
         }
-        let (mut split, _) = two.run();
+        let (mut split, _) = two.run(&Span::noop());
         for p in &prompts[cut..] {
             two.submit(p.clone(), params.clone());
         }
-        let (tail, _) = two.run();
+        let (tail, _) = two.run(&Span::noop());
         split.extend(tail);
         prop_assert_eq!(single.len(), split.len());
         for (a, b) in single.iter().zip(&split) {

@@ -17,9 +17,8 @@
 //!   wall clock or RNG, so two identical runs produce **byte-identical
 //!   trace dumps** and metric snapshots.
 //! - **Free when off.** [`Obs::disabled`] carries no allocation — every
-//!   recording call is a branch on an `Option` that is `None` — and the
-//!   instrumented hot paths are property-tested to be byte-for-byte
-//!   identical to the pre-instrumentation code.
+//!   recording call is a branch on an `Option` that is `None` — and
+//!   enabling it is tested never to change a component's results.
 //!
 //! ## Shape
 //!
@@ -27,7 +26,9 @@
 //! - [`Obs`] — a cheaply cloneable handle owning one [`Tracer`] and one
 //!   [`Metrics`] registry (or nothing, when disabled).
 //! - [`Span`] — a handle for one unit of work: nested children, key-value
-//!   attributes, point-in-time events, explicit `end(at_us)`.
+//!   attributes, point-in-time events, explicit `end(at_us)`. Every
+//!   instrumented entry point takes a caller `&Span` and opens its own
+//!   span with [`Span::child_or_root`].
 //! - [`Metrics`] — named counters, gauges and fixed-bucket histograms
 //!   with a deterministic-JSON [`Metrics::snapshot`].
 //! - [`render`] — a text renderer that prints a trace tree for any

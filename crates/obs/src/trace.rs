@@ -503,6 +503,22 @@ impl Span {
         }
     }
 
+    /// Open the span an instrumented entry point records its work under:
+    /// a child of `self` when `self` is recording, else a new root on
+    /// `root` when that handle is enabled, else a no-op span. The start
+    /// time is `at` for callers with a simulated clock; `None` takes the
+    /// next tick of whichever tracer records the span (`self`'s for a
+    /// child, `root`'s for a root) and consumes no tick for a no-op span.
+    pub fn child_or_root(&self, root: &Obs, name: &str, at: Option<u64>) -> Span {
+        if self.is_recording() {
+            self.child(name, at.unwrap_or_else(|| self.tick()))
+        } else if root.is_enabled() {
+            root.span(name, at.unwrap_or_else(|| root.tick()))
+        } else {
+            Span::noop()
+        }
+    }
+
     /// Next value of the owning tracer's logical tick clock (see
     /// [`Obs::tick`]); 0 for a no-op span. Lets a callee timestamp child
     /// spans given only a `&Span`.
@@ -710,6 +726,57 @@ mod tests {
         assert_eq!(h, "00abcdef01234567");
         assert_eq!(TraceContext::parse_hex(&h), Some(id));
         assert_eq!(TraceContext::parse_hex("xyz"), None);
+    }
+
+    #[test]
+    fn child_or_root_picks_child_root_or_noop_and_the_matching_clock() {
+        let parent_obs = Obs::new(ObsConfig::enabled(1));
+        let own = Obs::new(ObsConfig::enabled(2));
+        let parent = parent_obs.span("request", parent_obs.tick()); // tick 1
+
+        // Recording parent: a child in the parent's trace, stamped by the
+        // parent's tracer; the own handle's clock does not move.
+        let child = parent.child_or_root(&own, "stage", None);
+        assert_eq!(child.trace_id(), parent.trace_id());
+        child.end(9);
+        let rec = parent_obs
+            .finished_spans()
+            .into_iter()
+            .find(|s| s.name == "stage")
+            .expect("child recorded by the parent's tracer");
+        assert_eq!(rec.parent, parent.id());
+        assert_eq!(rec.start_us, 2);
+        assert_eq!(own.tick(), 1, "own clock untouched by the child");
+
+        // No-op parent, enabled own handle: a new root on the own handle,
+        // stamped by its clock.
+        let root = Span::noop().child_or_root(&own, "stage", None);
+        assert!(root.is_recording());
+        assert_ne!(root.trace_id(), parent.trace_id());
+        root.end(20);
+        let rec = &own.finished_spans()[0];
+        assert_eq!((rec.parent, rec.trace, rec.start_us), (None, rec.id, 2));
+
+        // A caller-supplied start time wins over either tick clock.
+        let at = parent.child_or_root(&own, "sim", Some(500));
+        at.end(600);
+        let at = Span::noop().child_or_root(&own, "sim", Some(700));
+        at.end(800);
+        assert_eq!(parent_obs.tick(), 3, "Some(at) consumes no parent tick");
+        assert_eq!(own.tick(), 3, "Some(at) consumes no own tick");
+        let starts = |obs: &Obs| -> Vec<u64> {
+            obs.finished_spans().iter().filter(|s| s.name == "sim").map(|s| s.start_us).collect()
+        };
+        assert_eq!(starts(&parent_obs), vec![500]);
+        assert_eq!(starts(&own), vec![700]);
+
+        // Both off: a no-op span, zero spans anywhere.
+        let off = Obs::disabled();
+        let none = Span::noop().child_or_root(&off, "stage", None);
+        assert!(!none.is_recording());
+        none.end(1);
+        assert_eq!(off.span_count(), 0);
+        assert_eq!(off.tick(), 0);
     }
 
     #[test]

@@ -244,54 +244,9 @@ impl KnowledgeBase {
     }
 
     /// Retrieve with a second-stage rerank: fetch `3k` candidates under
-    /// `strategy`, then let the lexical cross-scorer pick the top `k`.
+    /// `strategy` (see [`KnowledgeBase::retrieve_under`] for `parent`),
+    /// then let the lexical cross-scorer pick the top `k`.
     pub fn retrieve_reranked(
-        &self,
-        query: &str,
-        k: usize,
-        strategy: RetrievalStrategy,
-    ) -> Vec<RetrievedChunk> {
-        let candidates = self.retrieve(query, k * 3, strategy);
-        crate::rerank::rerank(query, candidates, k)
-    }
-
-    /// Retrieve the top-k chunks for a query under a strategy.
-    ///
-    /// Spans are opened only in this sequential orchestration — never
-    /// inside the threaded scan workers — so trace dumps stay
-    /// deterministic even when the flat scan fans out across threads.
-    pub fn retrieve(
-        &self,
-        query: &str,
-        k: usize,
-        strategy: RetrievalStrategy,
-    ) -> Vec<RetrievedChunk> {
-        let span = self.obs.span("rag.retrieve", self.obs.tick());
-        self.retrieve_with_span(query, k, strategy, span)
-    }
-
-    /// [`KnowledgeBase::retrieve`], but the `rag.retrieve` span joins
-    /// `parent`'s trace (when the parent is recording) instead of opening
-    /// its own — how an app-layer request root absorbs retrieval spans.
-    /// Share one handle via [`KnowledgeBase::set_obs`] so the counters
-    /// land in the same registry.
-    pub fn retrieve_under(
-        &self,
-        query: &str,
-        k: usize,
-        strategy: RetrievalStrategy,
-        parent: &Span,
-    ) -> Vec<RetrievedChunk> {
-        let span = if parent.is_recording() {
-            parent.child("rag.retrieve", parent.tick())
-        } else {
-            self.obs.span("rag.retrieve", self.obs.tick())
-        };
-        self.retrieve_with_span(query, k, strategy, span)
-    }
-
-    /// [`KnowledgeBase::retrieve_reranked`] under a parent span.
-    pub fn retrieve_reranked_under(
         &self,
         query: &str,
         k: usize,
@@ -302,15 +257,34 @@ impl KnowledgeBase {
         crate::rerank::rerank(query, candidates, k)
     }
 
-    /// Shared body of the `retrieve*` entry points, under an already-open
-    /// span (stage children are timestamped on the span's tick clock).
-    fn retrieve_with_span(
+    /// Retrieve the top-k chunks for a query under a strategy.
+    pub fn retrieve(
         &self,
         query: &str,
         k: usize,
         strategy: RetrievalStrategy,
-        span: Span,
     ) -> Vec<RetrievedChunk> {
+        self.retrieve_under(query, k, strategy, &Span::noop())
+    }
+
+    /// Retrieve the top-k chunks for a query under a strategy, recording a
+    /// `rag.retrieve` span with per-stage children: a child of `parent`
+    /// when it is recording (how an app-layer request root absorbs
+    /// retrieval spans), else a root on this knowledge base's own handle.
+    /// Share one handle via [`KnowledgeBase::set_obs`] so the counters
+    /// land in the same registry.
+    ///
+    /// Spans are opened only in this sequential orchestration — never
+    /// inside the threaded scan workers — so trace dumps stay
+    /// deterministic even when the flat scan fans out across threads.
+    pub fn retrieve_under(
+        &self,
+        query: &str,
+        k: usize,
+        strategy: RetrievalStrategy,
+        parent: &Span,
+    ) -> Vec<RetrievedChunk> {
+        let span = parent.child_or_root(&self.obs, "rag.retrieve", None);
         if span.is_recording() {
             span.attr("strategy", strategy.name());
             span.attr("k", k);
@@ -707,7 +681,12 @@ mod rerank_integration {
         let mut kb = KnowledgeBase::with_defaults();
         kb.add_text("padded", &format!("checkpoint {}", "irrelevant padding words ".repeat(30)));
         kb.add_text("dense", "checkpoint interval tuning for compaction");
-        let top = kb.retrieve_reranked("checkpoint interval tuning", 1, RetrievalStrategy::Keyword);
+        let top = kb.retrieve_reranked(
+            "checkpoint interval tuning",
+            1,
+            RetrievalStrategy::Keyword,
+            &Span::noop(),
+        );
         assert_eq!(top[0].chunk.document_id, "dense");
     }
 
@@ -717,6 +696,9 @@ mod rerank_integration {
         for i in 0..10 {
             kb.add_text(&format!("d{i}"), &format!("common words appear in document {i}"));
         }
-        assert_eq!(kb.retrieve_reranked("common words", 4, RetrievalStrategy::Hybrid).len(), 4);
+        assert_eq!(
+            kb.retrieve_reranked("common words", 4, RetrievalStrategy::Hybrid, &Span::noop()).len(),
+            4
+        );
     }
 }

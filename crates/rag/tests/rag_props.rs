@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
+use dbgpt_obs::Span;
 use dbgpt_rag::{
     cosine_similarity, Chunker, ChunkingStrategy, Document, Embedding, HashEmbedder,
     InvertedIndex, KnowledgeBase, RetrievalConfig, RetrievalStrategy, VectorStore,
@@ -94,7 +95,7 @@ proptest! {
             prop_assert_eq!(keys.len(), hits.len(), "duplicates from {}", strategy.name());
         }
         // Reranked retrieval obeys the same bound.
-        let hits = kb.retrieve_reranked(&query, k, RetrievalStrategy::Hybrid);
+        let hits = kb.retrieve_reranked(&query, k, RetrievalStrategy::Hybrid, &Span::noop());
         prop_assert!(hits.len() <= k);
     }
 

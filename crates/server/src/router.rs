@@ -108,36 +108,30 @@ impl Server {
         self.sessions.create(app).0
     }
 
-    /// Handle a request struct (the non-frame path).
-    pub fn handle(&self, request: &Request) -> Response {
-        self.handle_under(request, &Span::noop())
-    }
-
-    /// Handle a request under a caller span (e.g. a TCP connection span):
-    /// records a `server.request` span with app/status attributes plus
-    /// `server.requests`, `server.cmd.<app>` and `server.status.*`
-    /// counters. Byte-identical to [`Server::handle`] when nothing records.
-    pub fn handle_under(&self, request: &Request, parent: &Span) -> Response {
-        let span = if parent.is_recording() {
-            parent.child("server.request", parent.tick())
-        } else if self.obs.is_enabled() {
-            self.obs.span("server.request", self.obs.tick())
-        } else {
-            return self.handle_inner(request, &Span::noop());
-        };
+    /// Handle a request struct (the non-frame path) under a caller span
+    /// (e.g. a TCP connection span): records a `server.request` span with
+    /// app/status attributes plus `server.requests`, `server.cmd.<app>`
+    /// and `server.status.*` counters — a child of `parent` when it is
+    /// recording, else a root on the server's own handle.
+    pub fn handle(&self, request: &Request, parent: &Span) -> Response {
+        let span = parent.child_or_root(&self.obs, "server.request", None);
         let obs = span.handle();
         span.attr("app", &request.app);
         span.attr("id", request.id);
         obs.counter("server.requests", 1);
-        obs.counter(&format!("server.cmd.{}", request.app), 1);
+        if span.is_recording() {
+            obs.counter(&format!("server.cmd.{}", request.app), 1);
+        }
         let resp = self.handle_inner(request, &span);
-        let status = match resp.status {
-            Status::Ok => "ok",
-            Status::BadRequest => "bad_request",
-            Status::Error => "error",
-        };
-        span.attr("status", status);
-        obs.counter(&format!("server.status.{status}"), 1);
+        if span.is_recording() {
+            let status = match resp.status {
+                Status::Ok => "ok",
+                Status::BadRequest => "bad_request",
+                Status::Error => "error",
+            };
+            span.attr("status", status);
+            obs.counter(&format!("server.status.{status}"), 1);
+        }
         span.end(span.tick());
         resp
     }
@@ -196,12 +190,12 @@ impl Server {
         self.handle_frame_under(frame, &Span::noop())
     }
 
-    /// Frame path under a caller span, counting `server.frames` and
-    /// `server.frame_errors`.
+    /// Frame path under a caller span (see [`Server::handle`]), counting
+    /// `server.frames` and `server.frame_errors`.
     pub fn handle_frame_under(&self, frame: &[u8], parent: &Span) -> bytes::Bytes {
         self.obs.counter("server.frames", 1);
         match decode_frame::<Request>(frame) {
-            Ok((request, _)) => encode_frame(&self.handle_under(&request, parent)),
+            Ok((request, _)) => encode_frame(&self.handle(&request, parent)),
             Err(e) => {
                 self.obs.counter("server.frame_errors", 1);
                 encode_frame(&Response::error(0, Status::BadRequest, e.to_string()))
@@ -265,7 +259,7 @@ mod tests {
     #[test]
     fn routes_to_handler() {
         let s = server();
-        let resp = s.handle(&Request::new(1, "echo", "hello"));
+        let resp = s.handle(&Request::new(1, "echo", "hello"), &Span::noop());
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(resp.content["echo"], "hello");
         assert_eq!(resp.rendered.as_deref(), Some("rendered: hello"));
@@ -274,14 +268,14 @@ mod tests {
     #[test]
     fn unknown_app_is_bad_request() {
         let s = server();
-        let resp = s.handle(&Request::new(2, "ghost", "x"));
+        let resp = s.handle(&Request::new(2, "ghost", "x"), &Span::noop());
         assert_eq!(resp.status, Status::BadRequest);
     }
 
     #[test]
     fn handler_errors_reported() {
         let s = server();
-        let resp = s.handle(&Request::new(3, "echo", "boom"));
+        let resp = s.handle(&Request::new(3, "echo", "boom"), &Span::noop());
         assert_eq!(resp.status, Status::Error);
         assert!(resp.content.as_str().unwrap().contains("exploded"));
     }
@@ -292,11 +286,11 @@ mod tests {
         let sid = s.open_session("echo");
         let mut req = Request::new(1, "echo", "first");
         req.session = sid.clone();
-        let r1 = s.handle(&req);
+        let r1 = s.handle(&req, &Span::noop());
         assert_eq!(r1.content["history_len"], 0);
         let mut req = Request::new(2, "echo", "second");
         req.session = sid.clone();
-        let r2 = s.handle(&req);
+        let r2 = s.handle(&req, &Span::noop());
         // The handler saw both turns of round 1.
         assert_eq!(r2.content["history_len"], 2);
         assert_eq!(s.sessions().get(&sid).unwrap().history.len(), 4);
@@ -307,7 +301,7 @@ mod tests {
         let s = server();
         let mut req = Request::new(1, "echo", "x");
         req.session = "ghost".into();
-        assert_eq!(s.handle(&req).status, Status::BadRequest);
+        assert_eq!(s.handle(&req, &Span::noop()).status, Status::BadRequest);
     }
 
     #[test]

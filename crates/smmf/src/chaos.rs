@@ -18,6 +18,7 @@ use std::sync::Arc;
 
 use dbgpt_llm::latency::LatencyModel;
 use dbgpt_llm::{GenerationParams, SharedModel, SimLlm, SimModelSpec};
+use dbgpt_obs::Span;
 
 use crate::privacy::{DeploymentMode, Locality};
 use crate::resilience::{ResilienceConfig, ResilienceMetrics};
@@ -543,7 +544,7 @@ pub fn run_scenario(
             }
         }
         server.advance_clock(INTER_ARRIVAL_US);
-        match server.chat(PRIMARY_MODEL, "chaos probe request", &params) {
+        match server.chat(PRIMARY_MODEL, "chaos probe request", &params, &Span::noop()) {
             Ok(c) => {
                 ok += 1;
                 if c.simulated_latency_us <= scenario.slo_us {

@@ -48,10 +48,12 @@
 //! ```
 //! use dbgpt_smmf::{ApiServer, DeploymentMode};
 //! use dbgpt_llm::GenerationParams;
+//! use dbgpt_obs::Span;
 //!
 //! let mut server = ApiServer::new(DeploymentMode::Local);
 //! server.deploy_builtin("sim-qwen", 2).unwrap();  // two replicas
-//! let out = server.chat("sim-qwen", "hello data", &GenerationParams::default()).unwrap();
+//! let params = GenerationParams::default();
+//! let out = server.chat("sim-qwen", "hello data", &params, &Span::noop()).unwrap();
 //! assert!(!out.text.is_empty());
 //! ```
 

@@ -197,8 +197,13 @@ impl ApiServer {
 
     /// Replace the observability handle — used to share one tracer and
     /// metrics registry across the whole stack (server layer, apps, AWEL,
-    /// serving) so cross-crate spans land in one trace store.
+    /// serving) so cross-crate spans land in one trace store. Batch
+    /// engines already spun up switch to the new handle too, so an engine
+    /// drain never records on a handle the server no longer uses.
     pub fn set_obs(&mut self, obs: Obs) {
+        for engine in self.engines.get_mut().expect("engines lock").values_mut() {
+            engine.set_obs(obs.clone());
+        }
         self.obs = obs;
     }
 
@@ -312,24 +317,12 @@ impl ApiServer {
     /// Serve a chat request through the resilience pipeline: admission
     /// control, then the primary model's failover loop, then — if the
     /// primary tier is out of admissible workers or retries — the fallback
-    /// model, still under the same deadline budget.
+    /// model, still under the same deadline budget. The `smmf.chat` span
+    /// joins `parent`'s trace when the parent is recording (how an
+    /// app-layer request root absorbs the serving spans), else it roots a
+    /// trace on the server's own handle. Callers that want counters too
+    /// should share one handle via [`ApiServer::set_obs`].
     pub fn chat(
-        &self,
-        model: &str,
-        prompt: &str,
-        params: &GenerationParams,
-    ) -> Result<Completion, SmmfError> {
-        let started_us = self.now_us();
-        let span = self.obs.span("smmf.chat", started_us);
-        self.chat_with_span(model, prompt, params, span, started_us)
-    }
-
-    /// [`ApiServer::chat`], but the `smmf.chat` span joins `parent`'s
-    /// trace instead of opening a new one (when the parent is recording) —
-    /// how an app-layer request root absorbs the serving spans. Callers
-    /// that want counters too should share one handle via
-    /// [`ApiServer::set_obs`].
-    pub fn chat_under(
         &self,
         model: &str,
         prompt: &str,
@@ -337,24 +330,7 @@ impl ApiServer {
         parent: &Span,
     ) -> Result<Completion, SmmfError> {
         let started_us = self.now_us();
-        let span = if parent.is_recording() {
-            parent.child("smmf.chat", started_us)
-        } else {
-            self.obs.span("smmf.chat", started_us)
-        };
-        self.chat_with_span(model, prompt, params, span, started_us)
-    }
-
-    /// Shared tail of [`ApiServer::chat`] / [`ApiServer::chat_under`]:
-    /// run the pipeline under `span`, record outcome and latency.
-    fn chat_with_span(
-        &self,
-        model: &str,
-        prompt: &str,
-        params: &GenerationParams,
-        span: Span,
-        started_us: u64,
-    ) -> Result<Completion, SmmfError> {
+        let span = parent.child_or_root(&self.obs, "smmf.chat", Some(started_us));
         span.attr("model", model);
         let result = self.chat_inner(model, prompt, params, &span);
         match &result {
@@ -430,7 +406,7 @@ impl ApiServer {
         if !self.engine.enabled {
             return jobs
                 .iter()
-                .map(|(prompt, params)| self.chat(model, prompt, params))
+                .map(|(prompt, params)| self.chat(model, prompt, params, &Span::noop()))
                 .collect();
         }
         self.chat_many_batched(model, jobs)
@@ -517,7 +493,7 @@ impl ApiServer {
             if engine.clock_us() < now {
                 engine.advance_clock(now - engine.clock_us());
             }
-            let (scheduled, run) = engine.run_traced(Some(&span));
+            let (scheduled, run) = engine.run(&span);
             max_makespan_us = max_makespan_us.max(run.makespan_us);
             let mut by_id: BTreeMap<usize, _> =
                 scheduled.into_iter().map(|s| (s.id, s)).collect();
@@ -890,6 +866,12 @@ impl std::fmt::Debug for ApiServer {
     }
 }
 
+/// [`ApiServer::chat`] with default params and no caller span.
+#[cfg(test)]
+fn chat(s: &ApiServer, model: &str, prompt: &str) -> Result<Completion, SmmfError> {
+    s.chat(model, prompt, &GenerationParams::default(), &Span::noop())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -898,9 +880,7 @@ mod tests {
     fn deploy_and_chat() {
         let mut s = ApiServer::new(DeploymentMode::Local);
         s.deploy_builtin("sim-qwen", 2).unwrap();
-        let out = s
-            .chat("sim-qwen", "hello world", &GenerationParams::default())
-            .unwrap();
+        let out = chat(&s, "sim-qwen", "hello world").unwrap();
         assert_eq!(out.model, "sim-qwen");
         assert_eq!(s.models(), vec!["sim-qwen"]);
     }
@@ -909,7 +889,7 @@ mod tests {
     fn unknown_model_rejected() {
         let s = ApiServer::new(DeploymentMode::Local);
         assert!(matches!(
-            s.chat("ghost", "x", &GenerationParams::default()),
+            chat(&s, "ghost", "x"),
             Err(SmmfError::UnknownModel(_))
         ));
         let mut s = ApiServer::new(DeploymentMode::Local);
@@ -924,7 +904,7 @@ mod tests {
         // …but fine in cloud mode.
         let mut s = ApiServer::new(DeploymentMode::Cloud);
         s.deploy_builtin("proxy-gpt", 1).unwrap();
-        assert!(s.chat("proxy-gpt", "hi there", &GenerationParams::default()).is_ok());
+        assert!(chat(&s, "proxy-gpt", "hi there").is_ok());
     }
 
     #[test]
@@ -943,9 +923,7 @@ mod tests {
         // Round-robin will sometimes hit `bad` first; failover must save
         // every request.
         for _ in 0..6 {
-            assert!(s
-                .chat("sim-qwen", "hello again", &GenerationParams::default())
-                .is_ok());
+            assert!(chat(&s, "sim-qwen", "hello again").is_ok());
         }
     }
 
@@ -962,9 +940,7 @@ mod tests {
             );
             s.register_worker(w).unwrap();
         }
-        let e = s
-            .chat("sim-qwen", "hello", &GenerationParams::default())
-            .unwrap_err();
+        let e = chat(&s, "sim-qwen", "hello").unwrap_err();
         assert!(
             matches!(e, SmmfError::RetriesExhausted { .. } | SmmfError::NoHealthyWorker(_)),
             "{e:?}"
@@ -975,7 +951,7 @@ mod tests {
     fn model_errors_are_not_retried() {
         let mut s = ApiServer::new(DeploymentMode::Local);
         s.deploy_builtin("sim-qwen", 2).unwrap();
-        let e = s.chat("sim-qwen", "   ", &GenerationParams::default()).unwrap_err();
+        let e = chat(&s, "sim-qwen", "   ").unwrap_err();
         assert!(matches!(e, SmmfError::Model(_)));
         // No worker should have been damaged.
         assert!(s.controller().has_healthy_worker("sim-qwen"));
@@ -990,7 +966,7 @@ mod tests {
         let mut s = ApiServer::new(DeploymentMode::Local);
         s.deploy_model(custom, 3).unwrap();
         assert_eq!(s.controller().workers("my-finetune").unwrap().len(), 3);
-        assert!(s.chat("my-finetune", "hello", &GenerationParams::default()).is_ok());
+        assert!(chat(&s, "my-finetune", "hello").is_ok());
     }
 }
 
@@ -1030,7 +1006,7 @@ mod resilience_tests {
         let mut s =
             ApiServer::with_resilience(DeploymentMode::Local, RoutingPolicy::RoundRobin, 1, cfg);
         s.deploy_builtin("sim-qwen", 2).unwrap();
-        let e = s.chat("sim-qwen", "hello", &GenerationParams::default()).unwrap_err();
+        let e = chat(&s, "sim-qwen", "hello").unwrap_err();
         assert!(matches!(e, SmmfError::DeadlineExceeded { spent_us: 0, .. }), "{e:?}");
         assert_eq!(dispatches(&s, "sim-qwen"), 0, "no dispatch may start");
         assert_eq!(s.metrics().deadline_exceeded, 1);
@@ -1061,7 +1037,7 @@ mod resilience_tests {
         for i in 0..4 {
             s.register_worker(flaky(&format!("bad{i}"), 1.0, i)).unwrap();
         }
-        let e = s.chat("sim-qwen", "hello", &GenerationParams::default()).unwrap_err();
+        let e = chat(&s, "sim-qwen", "hello").unwrap_err();
         assert!(matches!(e, SmmfError::DeadlineExceeded { .. }), "{e:?}");
         // Attempt 1 (5ms) + attempt 2 (5ms + 1ms backoff) = 11ms spent,
         // then 2ms more backoff puts 13 ≥ 12: exactly 2 dispatches.
@@ -1081,7 +1057,7 @@ mod resilience_tests {
         let mut s =
             ApiServer::with_resilience(DeploymentMode::Local, RoutingPolicy::RoundRobin, 1, cfg);
         s.deploy_builtin("sim-qwen", 1).unwrap();
-        let e = s.chat("sim-qwen", "hello", &GenerationParams::default()).unwrap_err();
+        let e = chat(&s, "sim-qwen", "hello").unwrap_err();
         assert!(matches!(e, SmmfError::DeadlineExceeded { budget_us: 1, .. }), "{e:?}");
         assert_eq!(dispatches(&s, "sim-qwen"), 1);
     }
@@ -1104,7 +1080,7 @@ mod resilience_tests {
         for i in 0..3 {
             s.register_worker(flaky(&format!("bad{i}"), 1.0, i)).unwrap();
         }
-        let e = s.chat("sim-qwen", "hello", &GenerationParams::default()).unwrap_err();
+        let e = chat(&s, "sim-qwen", "hello").unwrap_err();
         assert!(
             matches!(e, SmmfError::RetriesExhausted { attempts: 3, .. }),
             "each worker exactly once: {e:?}"
@@ -1141,24 +1117,24 @@ mod resilience_tests {
         let wid = WorkerId::new("w0");
         // Four failures trip the breaker.
         for _ in 0..4 {
-            let _ = s.chat("sim-qwen", "hello", &GenerationParams::default());
+            let _ = chat(&s, "sim-qwen", "hello");
         }
         assert_eq!(s.breaker_state("sim-qwen", &wid), Some(BreakerState::Open));
         // While open: fail fast, no dispatch reaches the worker.
         let before = dispatches(&s, "sim-qwen");
-        let e = s.chat("sim-qwen", "hello", &GenerationParams::default()).unwrap_err();
+        let e = chat(&s, "sim-qwen", "hello").unwrap_err();
         assert!(matches!(e, SmmfError::NoHealthyWorker(_)), "{e:?}");
         assert_eq!(dispatches(&s, "sim-qwen"), before, "open gate must block");
         // The replica recovers; simulated time passes the cool-down.
         s.controller().workers("sim-qwen").unwrap()[0].set_failure_rate(0.0);
         s.advance_clock(200_000);
-        assert!(s.chat("sim-qwen", "hello", &GenerationParams::default()).is_ok());
+        assert!(chat(&s, "sim-qwen", "hello").is_ok());
         assert_eq!(
             s.breaker_state("sim-qwen", &wid),
             Some(BreakerState::HalfOpen),
             "one probe success of two"
         );
-        assert!(s.chat("sim-qwen", "hello", &GenerationParams::default()).is_ok());
+        assert!(chat(&s, "sim-qwen", "hello").is_ok());
         assert_eq!(s.breaker_state("sim-qwen", &wid), Some(BreakerState::Closed));
         assert_eq!(s.metrics().breaker_opens, 1);
     }
@@ -1186,7 +1162,7 @@ mod resilience_tests {
         let tiny: dbgpt_llm::SharedModel =
             Arc::new(SimLlm::with_default_skills(SimModelSpec::for_tests("tiny-fallback")));
         s.deploy_model(tiny, 1).unwrap();
-        let out = s.chat("sim-qwen", "hello", &GenerationParams::default()).unwrap();
+        let out = chat(&s, "sim-qwen", "hello").unwrap();
         assert_eq!(out.model, "tiny-fallback", "degraded tier must answer");
         assert_eq!(s.metrics().fallbacks, 1);
     }
@@ -1200,7 +1176,7 @@ mod resilience_tests {
         let mut s =
             ApiServer::with_resilience(DeploymentMode::Local, RoutingPolicy::RoundRobin, 1, cfg);
         s.deploy_builtin("sim-qwen", 1).unwrap();
-        let e = s.chat("sim-qwen", "hello", &GenerationParams::default()).unwrap_err();
+        let e = chat(&s, "sim-qwen", "hello").unwrap_err();
         assert!(matches!(e, SmmfError::Overloaded { limit: 0, .. }), "{e:?}");
         assert_eq!(s.metrics().shed, 1);
         assert_eq!(dispatches(&s, "sim-qwen"), 0);
@@ -1217,7 +1193,7 @@ mod resilience_tests {
         s.deploy_builtin("sim-qwen", 1).unwrap();
         // Sequential requests each fit in the single slot.
         for _ in 0..5 {
-            assert!(s.chat("sim-qwen", "hello", &GenerationParams::default()).is_ok());
+            assert!(chat(&s, "sim-qwen", "hello").is_ok());
         }
         assert_eq!(s.metrics().shed, 0);
     }
@@ -1233,7 +1209,7 @@ mod resilience_tests {
         s.deploy_builtin("sim-qwen", 2).unwrap();
         // Spike replica w0 (least-latency picks it first: both cold, id order).
         s.controller().workers("sim-qwen").unwrap()[0].set_latency_factor(100.0);
-        let out = s.chat("sim-qwen", "hello there", &GenerationParams::default()).unwrap();
+        let out = chat(&s, "sim-qwen", "hello there").unwrap();
         let m = s.metrics();
         assert_eq!(m.hedges, 1);
         assert_eq!(m.hedge_wins, 1, "the healthy replica must win the race");
@@ -1264,7 +1240,7 @@ mod resilience_tests {
             for _ in 0..40 {
                 s.advance_clock(10_000);
                 outcomes.push(
-                    s.chat("sim-qwen", "hello", &GenerationParams::default())
+                    chat(&s, "sim-qwen", "hello")
                         .map(|c| c.simulated_latency_us)
                         .map_err(|e| e.kind()),
                 );
@@ -1316,7 +1292,7 @@ mod engine_tests {
         let many = batch.chat_many("sim-qwen", &js);
         let one_by_one: Vec<_> = js
             .iter()
-            .map(|(p, params)| seq.chat("sim-qwen", p, params))
+            .map(|(p, params)| seq.chat("sim-qwen", p, params, &Span::noop()))
             .collect();
         assert_eq!(many, one_by_one, "disabled engine must change nothing");
         assert_eq!(batch.now_us(), seq.now_us(), "same clock advance");
@@ -1414,7 +1390,7 @@ mod obs_tests {
     fn default_constructors_keep_observability_off() {
         let mut s = ApiServer::new(DeploymentMode::Local);
         s.deploy_builtin("sim-qwen", 1).unwrap();
-        s.chat("sim-qwen", "hello", &GenerationParams::default()).unwrap();
+        chat(&s, "sim-qwen", "hello").unwrap();
         assert!(!s.obs().is_enabled());
         assert_eq!(s.obs().span_count(), 0);
         assert_eq!(s.obs().metrics_json(), Obs::disabled().metrics_json());
@@ -1423,7 +1399,7 @@ mod obs_tests {
     #[test]
     fn chat_records_a_root_span_with_attempt_children() {
         let s = observed(ResilienceConfig::disabled(), EngineConfig::disabled());
-        s.chat("sim-qwen", "hello world", &GenerationParams::default()).unwrap();
+        chat(&s, "sim-qwen", "hello world").unwrap();
         let spans = s.obs().finished_spans();
         let root = spans.iter().find(|r| r.name == "smmf.chat").expect("root span");
         assert_eq!(root.attr("model"), Some("sim-qwen"));
@@ -1443,7 +1419,7 @@ mod obs_tests {
         };
         let s = observed(cfg, EngineConfig::disabled());
         s.controller().workers("sim-qwen").unwrap()[0].set_latency_factor(100.0);
-        s.chat("sim-qwen", "hello there", &GenerationParams::default()).unwrap();
+        chat(&s, "sim-qwen", "hello there").unwrap();
         let spans = s.obs().finished_spans();
         let hedge = spans.iter().find(|r| r.name == "smmf.hedge").expect("hedge span");
         assert_eq!(hedge.attr("outcome"), Some("win"));
@@ -1473,6 +1449,20 @@ mod obs_tests {
     }
 
     #[test]
+    fn turning_observability_off_silences_existing_engines() {
+        let mut s = observed(ResilienceConfig::disabled(), EngineConfig::full());
+        let jobs = vec![("warm the engine".to_string(), GenerationParams::default())];
+        s.chat_many("sim-qwen", &jobs)[0].clone().unwrap();
+        let old = s.obs().clone();
+        let spans = old.span_count();
+        s.set_obs(Obs::disabled());
+        s.chat_many("sim-qwen", &jobs)[0].clone().unwrap();
+        // The drain must not open a root on the engine's former handle.
+        assert_eq!(old.span_count(), spans);
+        assert_eq!(old.counter_value("llm.engine.runs"), 1);
+    }
+
+    #[test]
     fn enabled_observability_never_changes_outcomes_or_the_clock() {
         let run = |obs: ObsConfig| {
             let mut s = ApiServer::with_observability(
@@ -1488,7 +1478,7 @@ mod obs_tests {
             for _ in 0..25 {
                 s.advance_clock(5_000);
                 outcomes.push(
-                    s.chat("sim-qwen", "hello", &GenerationParams::default())
+                    chat(&s, "sim-qwen", "hello")
                         .map(|c| c.text)
                         .map_err(|e| e.kind()),
                 );
@@ -1508,7 +1498,7 @@ mod obs_tests {
             let s = observed(ResilienceConfig::full(), EngineConfig::disabled());
             for _ in 0..10 {
                 s.advance_clock(3_000);
-                let _ = s.chat("sim-qwen", "hello", &GenerationParams::default());
+                let _ = chat(&s, "sim-qwen", "hello");
             }
             (s.obs().trace_json(), s.obs().metrics_json())
         };

@@ -13,7 +13,7 @@
 
 use dbgpt_llm::catalog::builtin_model;
 use dbgpt_llm::GenerationParams;
-use dbgpt_obs::ObsConfig;
+use dbgpt_obs::{ObsConfig, Span};
 use dbgpt_smmf::{
     ApiServer, DeploymentMode, EngineConfig, Locality, ModelWorker, ResilienceConfig,
     RoutingPolicy,
@@ -46,10 +46,11 @@ fn run_workload(
         s.register_worker(flaky(&format!("w{i}"), 0.3, seed + i)).unwrap();
     }
     let mut outcomes = Vec::new();
+    let params = GenerationParams::default();
     for _ in 0..20 {
         s.advance_clock(7_000);
         outcomes.push(
-            s.chat("sim-qwen", "explain join ordering", &GenerationParams::default())
+            s.chat("sim-qwen", "explain join ordering", &params, &Span::noop())
                 .map(|c| (c.text, c.simulated_latency_us))
                 .map_err(|e| e.kind()),
         );
@@ -96,7 +97,7 @@ fn legacy_constructor_and_disabled_observability_are_the_same_server() {
         (0..10)
             .map(|_| {
                 s.advance_clock(2_500);
-                s.chat("sim-qwen", "hello", &GenerationParams::default())
+                s.chat("sim-qwen", "hello", &GenerationParams::default(), &Span::noop())
                     .map(|c| c.text)
                     .map_err(|e| e.kind())
             })

@@ -57,15 +57,15 @@ pub struct Table {
     pub schema: SchemaRef,
     /// Row storage.
     pub rows: Vec<Row>,
-    /// Hash indexes by column position. Maintained on insert; rebuilt
-    /// lazily after bulk mutation (UPDATE/DELETE mark them stale).
+    /// Hash indexes by column position. Maintained on insert; stale after
+    /// bulk mutation (UPDATE/DELETE) until `refresh_indexes` rebuilds them.
     indexes: HashMap<usize, HashIndex>,
     /// Index name → column position (for `DROP INDEX name ON table`).
     index_names: HashMap<String, usize>,
     indexes_stale: bool,
     /// Columnar mirror of `rows`, maintained on insert and dropped on
     /// in-place mutation (like indexes, but rebuilt on demand by the
-    /// vectorized executor rather than lazily here).
+    /// vectorized executor).
     columnar: Option<ColumnTable>,
     /// Paged row storage; `Some` iff the table uses the paged arm (then
     /// `rows` stays empty).
@@ -310,18 +310,6 @@ impl Table {
         cols
     }
 
-    /// The index on column position `col`, refreshed if stale.
-    /// Returns `None` when no index exists there.
-    pub fn index(&mut self, col: usize) -> Option<&HashIndex> {
-        if self.indexes_stale {
-            for (&c, idx) in self.indexes.iter_mut() {
-                *idx = HashIndex::build(&self.rows, c);
-            }
-            self.indexes_stale = false;
-        }
-        self.indexes.get(&col)
-    }
-
     /// Read-only view of an index; `None` if absent or stale.
     pub fn index_if_fresh(&self, col: usize) -> Option<&HashIndex> {
         if self.indexes_stale {
@@ -349,9 +337,8 @@ impl Table {
         self.columnar = None;
     }
 
-    /// Rebuild any stale indexes now (optional; lookups do this lazily on
-    /// the in-memory arm; the engine calls this before reads on the paged
-    /// arm, where the immutable executor cannot rebuild).
+    /// Rebuild any stale indexes now (the engine calls this before reads
+    /// on the paged arm, where the immutable executor cannot rebuild).
     pub fn refresh_indexes(&mut self) {
         if !self.indexes_stale {
             return;
@@ -733,7 +720,8 @@ mod tests {
             vec![Value::Int(3), Value::Text("b".into())],
         ])
         .unwrap();
-        let idx = t.index(1).unwrap();
+        t.refresh_indexes();
+        let idx = t.index_if_fresh(1).unwrap();
         assert_eq!(idx.lookup(&Value::Text("a".into())), &[0, 1]);
     }
 
@@ -808,7 +796,8 @@ mod index_tests {
         let t = e.database_mut().table_mut("t").unwrap();
         assert_eq!(t.index_list(), vec!["idx_grp"]);
         assert_eq!(t.indexed_columns(), vec![1]);
-        let idx = t.index(1).unwrap();
+        t.refresh_indexes();
+        let idx = t.index_if_fresh(1).unwrap();
         assert_eq!(idx.lookup(&Value::Text("a".into())), &[0, 2]);
         assert_eq!(idx.lookup(&Value::Text("z".into())), &[] as &[usize]);
         assert_eq!(idx.distinct_keys(), 3);

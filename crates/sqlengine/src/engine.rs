@@ -197,17 +197,13 @@ impl Engine {
 
     /// Execute one SQL statement.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult, SqlError> {
-        let stmt = parse(sql)?;
-        self.run_statement(stmt)
+        self.execute_traced(sql, &Span::noop())
     }
 
-    /// [`Engine::execute`] with `sql.parse` / `sql.plan` / `sql.exec`
-    /// stage spans joined to `parent`'s trace, row counts as attributes.
-    /// With a non-recording parent this is exactly [`Engine::execute`].
+    /// Execute one SQL statement with `sql.parse` / `sql.plan` /
+    /// `sql.exec` stage spans joined to `parent`'s trace, row counts as
+    /// attributes. A non-recording parent records nothing.
     pub fn execute_traced(&mut self, sql: &str, parent: &Span) -> Result<QueryResult, SqlError> {
-        if !parent.is_recording() {
-            return self.execute(sql);
-        }
         let obs = parent.handle();
         let span = parent.child("sql.execute", parent.tick());
         obs.counter("sql.statements", 1);
@@ -316,8 +312,8 @@ impl Engine {
         }
     }
 
-    /// Run one already-parsed statement (the shared tail of
-    /// [`Engine::execute`] and [`Engine::execute_traced`]).
+    /// Run one already-parsed non-SELECT statement (SELECTs are planned
+    /// and run in [`Engine::execute_traced`]'s own stages).
     fn run_statement(&mut self, stmt: Statement) -> Result<QueryResult, SqlError> {
         match stmt {
             Statement::CreateTable {
@@ -542,17 +538,7 @@ impl Engine {
                 }
                 Ok(QueryResult::affected(removed))
             }
-            Statement::Select(sel) => {
-                let plan = Planner::new(&self.db).plan_select(&sel)?;
-                let plan = self.optimizer.optimize(plan)?;
-                let mut stats = ExecStats::default();
-                let batch = self.run_plan(&plan, &mut stats)?;
-                Ok(QueryResult {
-                    schema: batch.schema,
-                    rows: batch.rows,
-                    rows_affected: 0,
-                })
-            }
+            Statement::Select(_) => unreachable!("execute_traced runs SELECT itself"),
         }
     }
 

@@ -53,24 +53,19 @@ impl Text2SqlModel {
 
     /// Generate SQL for a question given schema DDL.
     pub fn generate_sql(&self, ddl: &str, question: &str) -> Result<String, Text2SqlError> {
-        let schema = SchemaIndex::from_ddl(ddl)?;
-        self.generator.generate(&schema, question)
+        self.generate_sql_traced(ddl, question, &Span::noop())
     }
 
-    /// Traced variant of [`Text2SqlModel::generate_sql`]: records a
+    /// Generate SQL for a question given schema DDL, recording a
     /// `t2s.generate` span (with `t2s.schema` / `t2s.link_generate` stage
     /// children and `t2s.requests` / `t2s.errors` counters) as a child of
-    /// `parent`. Falls back to the untraced path — byte-identically — when
-    /// the parent is not recording.
+    /// `parent`. A non-recording parent records nothing.
     pub fn generate_sql_traced(
         &self,
         ddl: &str,
         question: &str,
         parent: &Span,
     ) -> Result<String, Text2SqlError> {
-        if !parent.is_recording() {
-            return self.generate_sql(ddl, question);
-        }
         let obs = parent.handle();
         let span = parent.child("t2s.generate", parent.tick());
         span.attr("model", &self.name);

@@ -117,7 +117,12 @@ mod tests {
         let mut server = dbgpt_smmf::ApiServer::new(dbgpt_smmf::DeploymentMode::Local);
         server.deploy_model(sql_model(Text2SqlModel::base()), 2).unwrap();
         let out = server
-            .chat("t2s-base", &prompt("list all orders"), &GenerationParams::default())
+            .chat(
+                "t2s-base",
+                &prompt("list all orders"),
+                &GenerationParams::default(),
+                &dbgpt_obs::Span::noop(),
+            )
             .unwrap();
         assert_eq!(out.text, "SELECT * FROM orders;");
     }

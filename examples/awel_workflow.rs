@@ -6,6 +6,7 @@
 //! ```
 
 use dbgpt::awel::{ops, parse_dsl, DagBuilder, ExecutionMode, OperatorRegistry, Scheduler};
+use dbgpt::obs::Span;
 use serde_json::json;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,15 +53,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .edge("normalize", "grade")
         .build()?;
     println!("\n-- stream mode over 5 events --");
-    let runs = scheduler.run_stream(&pipeline, [95, 72, 88, 55, 91].map(|s| json!(s)))?;
+    let runs = scheduler.run_stream(
+        &pipeline,
+        [95, 72, 88, 55, 91].map(|s| json!(s)),
+        &Span::noop(),
+    )?;
     let grades: Vec<String> = runs
         .iter()
         .map(|r| r.sole_output().unwrap().as_str().unwrap().to_string())
         .collect();
     println!("  grades: {grades:?}");
 
-    let batch = scheduler.run(&pipeline, json!(84), ExecutionMode::Batch)?;
-    let parallel = scheduler.run(&pipeline, json!(84), ExecutionMode::Async)?;
+    let batch = scheduler.run(&pipeline, json!(84), ExecutionMode::Batch, &Span::noop())?;
+    let parallel = scheduler.run(&pipeline, json!(84), ExecutionMode::Async, &Span::noop())?;
     println!("\n-- async mode agrees with batch: {} --", batch.outputs == parallel.outputs);
     Ok(())
 }

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 
 use dbgpt::llm::Tokenizer;
+use dbgpt::obs::Span;
 use dbgpt::rag::{cosine_similarity, Embedder, HashEmbedder, PrivacyPolicy};
 use dbgpt::server::{decode_frame, encode_frame, Request};
 use dbgpt::sqlengine::{Engine, Value};
@@ -177,8 +178,8 @@ proptest! {
         }
         let dag = b.build().unwrap();
         let s = Scheduler::new();
-        let batch = s.run(&dag, json!(trigger), ExecutionMode::Batch).unwrap();
-        let parallel = s.run(&dag, json!(trigger), ExecutionMode::Async).unwrap();
+        let batch = s.run(&dag, json!(trigger), ExecutionMode::Batch, &Span::noop()).unwrap();
+        let parallel = s.run(&dag, json!(trigger), ExecutionMode::Async, &Span::noop()).unwrap();
         prop_assert_eq!(&batch.outputs, &parallel.outputs);
         let expected: i64 = (0..width as i64).map(|i| trigger + i).sum();
         prop_assert_eq!(&batch.outputs["sink"], &json!(expected));

@@ -5,6 +5,7 @@
 use dbgpt::apps::{handlers::build_server, AppContext};
 use dbgpt::server::{decode_frame, encode_frame, Request, Response, Status};
 use dbgpt::smmf::{DeploymentMode, RoutingPolicy};
+use dbgpt::obs::Span;
 use dbgpt::DbGpt;
 
 fn system() -> DbGpt {
@@ -46,7 +47,7 @@ fn multi_turn_session_keeps_history() {
     {
         let mut req = Request::new(i as u64, "chat2data", *q);
         req.session = sid.clone();
-        let resp = server.handle(&req);
+        let resp = server.handle(&req, &Span::noop());
         assert_eq!(resp.status, Status::Ok);
     }
     let session = server.sessions().get(&sid).unwrap();
@@ -137,9 +138,9 @@ fn sheet_then_chart_round_trip() {
 fn errors_propagate_cleanly_across_layers() {
     let ctx = AppContext::local_default(); // empty database
     let server = build_server(&ctx);
-    let resp = server.handle(&Request::new(1, "chat2data", "how many rows?"));
+    let resp = server.handle(&Request::new(1, "chat2data", "how many rows?"), &Span::noop());
     assert_eq!(resp.status, Status::Error);
-    let resp = server.handle(&Request::new(2, "nosuchapp", "x"));
+    let resp = server.handle(&Request::new(2, "nosuchapp", "x"), &Span::noop());
     assert_eq!(resp.status, Status::BadRequest);
 }
 
